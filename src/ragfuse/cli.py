@@ -354,7 +354,7 @@ def cmd_index(config: RunConfig) -> CorpusStats:
         "max_passage_words": config.max_passage_words,
         "num_passages": index.num_passages,
         "avg_length": index.avg_length,
-        "doc_freq": dict(index.doc_freq),
+        "doc_freq": index.doc_freq,
         "passages": [
             {
                 "id": pid,

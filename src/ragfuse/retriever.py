@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
 import re
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -66,53 +68,96 @@ def tokenize(text: str) -> list[str]:
 
 
 class Bm25Index:
-    """Immutable inverted index over passages with Okapi BM25 scoring.
+    """Immutable impact-scored inverted index over passages with Okapi BM25.
 
     Only passage text is indexed; titles do not participate in scoring.
+
+    Each posting stores its BM25 term weight, computed once at build time.
+    A query costs the postings of its own terms, plus O(M log k) to pick the
+    top k of the M passages they touch with a k-sized heap, not a score for
+    every one of the N passages and an O(N log N) sort. ``impacts`` maps a
+    term to two parallel arrays: slots (positions in the sorted
+    ``passage_ids``) and weights. ``lengths`` and ``doc_freq`` are the other
+    build statistics kept; ``term_freqs`` is re-derived from passage text.
     """
 
     def __init__(self, passages: list[Passage], k1: float = 1.2, b: float = 0.75):
         if not passages:
             raise ValueError("cannot build an index over an empty passage list")
+        # These ranges keep every weight > 0, which top-k selection relies on.
+        if k1 < 0:
+            raise ValueError("bm25_k1 must be >= 0")
+        if not 0 <= b <= 1:
+            raise ValueError("bm25_b must be in [0, 1]")
         self.k1 = k1
         self.b = b
         self.passages = {p.passage_id: p for p in passages}
         # Stable id order fixes tie-breaking and score-summation order.
         self.passage_ids = sorted(self.passages)
         self.num_passages = len(self.passage_ids)
-        self.lengths: dict[str, int] = {}
-        self.term_freqs: dict[str, Counter[str]] = {}
-        self.doc_freq: Counter[str] = Counter()
-        total_length = 0
-        for pid in self.passage_ids:
+        slot_lengths: list[int] = []
+        # term -> [slot, tf, slot, tf, ...]; one list per term keeps the
+        # tokenize pass to one lookup and two appends per posting.
+        tf_postings: defaultdict[str, list[int]] = defaultdict(list)
+        for slot, pid in enumerate(self.passage_ids):
             tokens = tokenize(self.passages[pid].text)
-            self.lengths[pid] = len(tokens)
-            self.term_freqs[pid] = Counter(tokens)
-            total_length += len(tokens)
-            for term in set(tokens):
-                self.doc_freq[term] += 1
-        self.avg_length = total_length / self.num_passages
-        self.postings: dict[str, list[str]] = {}
-        for pid in self.passage_ids:
-            for term in self.term_freqs[pid]:
-                self.postings.setdefault(term, []).append(pid)
+            slot_lengths.append(len(tokens))
+            for term, tf in Counter(tokens).items():
+                posting = tf_postings[term]
+                posting.append(slot)
+                posting.append(tf)
+        self.lengths = dict(zip(self.passage_ids, slot_lengths))
+        self.avg_length = sum(slot_lengths) / self.num_passages
+        self.doc_freq = {term: len(posting) // 2 for term, posting in tf_postings.items()}
+        # k1 * length_norm is the scorer's own subexpression, so each stored
+        # weight is bitwise the term's contribution in the BM25 formula.
+        k1_norms: list[float] = []
+        if self.avg_length:  # a corpus without a single token has no postings
+            k1_norms = [k1 * (1.0 - b + b * length / self.avg_length) for length in slot_lengths]
+        self.impacts: dict[str, tuple[array, array]] = {}
+        # Popping frees each term's build list as its arrays are made, so
+        # peak memory stays near the size of the build lists.
+        while tf_postings:
+            term, posting = tf_postings.popitem()
+            slots = posting[0::2]
+            idf = self.idf(term)
+            weights = [
+                idf * tf * (k1 + 1.0) / (tf + k1_norms[slot])
+                for slot, tf in zip(slots, posting[1::2])
+            ]
+            self.impacts[term] = (array("i", slots), array("d", weights))
+
+    @property
+    def term_freqs(self) -> dict[str, Counter[str]]:
+        """Per-passage term counts, re-derived from passage text on each access."""
+        return {pid: Counter(tokenize(self.passages[pid].text)) for pid in self.passage_ids}
 
     def idf(self, term: str) -> float:
         df = self.doc_freq.get(term, 0)
         return math.log(1.0 + (self.num_passages - df + 0.5) / (df + 0.5))
 
+    def slot_scores(self, query: str) -> dict[int, float]:
+        """BM25 score of every passage sharing a term with the query, by slot.
+
+        Weights accumulate in query-token order (repeats included), which is
+        the brute-force formula's summation order. Every weight is > 0, so
+        passages absent from the result score exactly 0.
+        """
+        totals: dict[int, float] = {}
+        get = totals.get
+        for term in tokenize(query):
+            posting = self.impacts.get(term)
+            if posting is None:
+                continue
+            for slot, weight in zip(*posting):
+                totals[slot] = get(slot, 0.0) + weight
+        return totals
+
     def scores(self, query: str) -> dict[str, float]:
         """BM25 score for every passage (zero scores included)."""
-        totals = {pid: 0.0 for pid in self.passage_ids}
-        for term in tokenize(query):
-            postings = self.postings.get(term)
-            if not postings:
-                continue
-            idf = self.idf(term)
-            for pid in postings:
-                tf = self.term_freqs[pid][term]
-                length_norm = 1.0 - self.b + self.b * self.lengths[pid] / self.avg_length
-                totals[pid] += idf * tf * (self.k1 + 1.0) / (tf + self.k1 * length_norm)
+        totals = dict.fromkeys(self.passage_ids, 0.0)
+        for slot, score in self.slot_scores(query).items():
+            totals[self.passage_ids[slot]] = score
         return totals
 
 
@@ -124,13 +169,24 @@ def retrieve_top_k(index: Bm25Index, query: str, k: int, question_id: str = "") 
     """Return the k highest-scoring passages, score-descending.
 
     All passages are rankable (zero-score passages included); ties break by
-    passage_id ascending. Returns min(k, N) entries.
+    passage_id ascending. Returns min(k, N) entries. Costs the postings of
+    the query's terms plus O(M log k) to select among the M passages they
+    touch; when M < k the remaining entries are zero-score passages in
+    ascending passage_id order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = index.scores(query)
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return RankedList(question_id=question_id, entries=tuple(ranked[:k]))
+    scored = index.slot_scores(query)
+    # Slots follow passage_id order, so (-score, slot) is (-score, passage_id).
+    top = heapq.nsmallest(k, scored.items(), key=lambda item: (-item[1], item[0]))
+    ids = index.passage_ids
+    entries = [(ids[slot], score) for slot, score in top]
+    slot = 0
+    while len(entries) < k and slot < index.num_passages:
+        if slot not in scored:
+            entries.append((ids[slot], 0.0))
+        slot += 1
+    return RankedList(question_id=question_id, entries=tuple(entries))
 
 
 def apply_gold_placement(
@@ -138,9 +194,12 @@ def apply_gold_placement(
 ) -> RankedList:
     """Reposition or insert the question's gold passage per the placement mode.
 
-    When the gold passage is absent the lowest-ranked entry is evicted so the
-    list keeps its length; inserted entries carry a 0.0 score sentinel since
-    the retriever never scored them.
+    When the gold passage is absent it is inserted, and the lowest-ranked
+    entry is evicted only if the list already holds k entries, so the result
+    keeps min(k, len + 1) entries with the gold passage exactly once.
+    Inserted entries carry a 0.0 score sentinel since the retriever never
+    scored them. An empty ranking has no position to place gold in, and is
+    an error in every mode but no_gold.
     """
     mode = config.placement_mode
     if mode is PlacementMode.NO_GOLD:
@@ -150,6 +209,11 @@ def apply_gold_placement(
         raise ValueError(
             f"placement mode {mode.value} requires a gold_passage_id "
             f"(question {question.question_id!r})"
+        )
+    if not ranked.entries:
+        raise ValueError(
+            f"placement mode {mode.value} needs a non-empty ranking "
+            f"(question {ranked.question_id!r} has no ranked passages)"
         )
     entries = list(ranked.entries)
     present = [i for i, (pid, _) in enumerate(entries) if pid == gold_id]
@@ -163,7 +227,8 @@ def apply_gold_placement(
             entries.append(gold_entry)
         return replace(ranked, entries=tuple(entries), gold_inserted=False)
 
-    entries.pop()
+    if len(entries) >= config.k:
+        entries.pop()
     if mode is PlacementMode.GOLD_TOP:
         position = 0
     elif mode is PlacementMode.GOLD_BOTTOM:

@@ -286,6 +286,25 @@ def test_cmd_run_with_precomputed_rankings(tmp_path, toy_questions, toy_passages
     assert report.em_pct == 100.0
 
 
+def test_main_rejects_empty_precomputed_ranking_under_gold_placement(
+    tmp_path, capsys, toy_questions
+):
+    rankings = tmp_path / "rankings.jsonl"
+    rows = [{"question_id": q.question_id, "ranked_passage_ids": []} for q in toy_questions]
+    rankings.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    config_path = write_config(
+        tmp_path / "run.yaml",
+        out=tmp_path / "out",
+        strategies="concat",
+        rankings=rankings,
+        placement="gold_top",
+    )
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "non-empty ranking" in err
+
+
 def test_cmd_report_reproduces_run_aggregates(tmp_path, capsys):
     config = run_config(tmp_path)
     run_report = cmd_run(config)["no_gold"]

@@ -1,0 +1,164 @@
+"""Top-k retrieval and gold placement edge cases, checked against the oracles."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import make_passage, make_question
+from oracles import bm25_rank, bm25_scores
+from ragfuse.retriever import (
+    PlacementMode,
+    RetrievalConfig,
+    apply_gold_placement,
+    build_index,
+    ranked_list_from_ids,
+    retrieve_top_k,
+)
+
+SIX = [
+    make_passage("p5", "the cat sat on the mat"),
+    make_passage("p2", "the dog sat on the log"),
+    make_passage("p4", "cats and dogs"),
+    make_passage("p1", "quasar nebula comet"),
+    make_passage("p3", "a bird in the hand"),
+    make_passage("p0", "cat"),
+]
+
+GOLD_MODES = (
+    PlacementMode.GOLD_TOP,
+    PlacementMode.GOLD_BOTTOM,
+    PlacementMode.GOLD_RANDOM,
+    PlacementMode.RETRIEVAL_ORDER,
+)
+
+
+def assert_matches_oracle(passages, query: str, k: int) -> None:
+    """Entries equal the oracle's ranking prefix, with bitwise-equal scores."""
+    texts = {p.passage_id: p.text for p in passages}
+    index = build_index(passages)
+    expected_scores = bm25_scores(texts, query)
+    expected = bm25_rank(texts, query)[:k]
+    ranked = retrieve_top_k(index, query, k)
+    assert ranked.passage_ids() == expected
+    assert [score for _, score in ranked.entries] == [expected_scores[pid] for pid in expected]
+    assert index.scores(query) == expected_scores
+
+
+def test_fewer_matches_than_k_fills_with_zero_scores_in_id_order():
+    # "cat" occurs in p0 and p5 only; the other four slots are zero-filled.
+    ranked = retrieve_top_k(build_index(SIX), "cat", k=4)
+    assert ranked.passage_ids() == ["p0", "p5", "p1", "p2"]
+    assert [score for _, score in ranked.entries][2:] == [0.0, 0.0]
+    assert_matches_oracle(SIX, "cat", 4)
+
+
+@pytest.mark.parametrize("k", [len(SIX), len(SIX) + 3])
+def test_k_at_least_n_returns_every_passage(k):
+    assert len(retrieve_top_k(build_index(SIX), "the cat", k).entries) == len(SIX)
+    assert_matches_oracle(SIX, "the cat", k)
+
+
+def test_repeated_query_terms_add_their_weight_again():
+    index = build_index(SIX)
+    once = dict(retrieve_top_k(index, "cat sat", k=6).entries)
+    repeated = dict(retrieve_top_k(index, "cat sat cat CAT", k=6).entries)
+    assert repeated["p0"] > once["p0"]
+    for k in (1, 3, 6):
+        assert_matches_oracle(SIX, "cat sat cat CAT", k)
+
+
+@pytest.mark.parametrize("query", ["zebra quark", "", "?!"])
+def test_query_without_indexed_terms_ranks_by_id(query):
+    ranked = retrieve_top_k(build_index(SIX), query, k=3)
+    assert ranked.entries == (("p0", 0.0), ("p1", 0.0), ("p2", 0.0))
+    assert_matches_oracle(SIX, query, 3)
+
+
+def test_all_tied_scores_break_by_id():
+    passages = [make_passage(pid, "same words here") for pid in ("c", "a", "d", "b")]
+    ranked = retrieve_top_k(build_index(passages), "words", k=3)
+    assert ranked.passage_ids() == ["a", "b", "c"]
+    assert len({score for _, score in ranked.entries}) == 1
+    assert_matches_oracle(passages, "words", 3)
+
+
+def test_corpus_without_tokens_builds_and_scores_zero():
+    passages = [make_passage("b", "..."), make_passage("a", "-- !")]
+    index = build_index(passages)
+    assert index.avg_length == 0.0
+    assert retrieve_top_k(index, "anything", k=5).entries == (("a", 0.0), ("b", 0.0))
+
+
+def test_index_rejects_parameters_that_allow_nonpositive_weights():
+    with pytest.raises(ValueError, match="bm25_k1"):
+        build_index(SIX, k1=-0.5)
+    with pytest.raises(ValueError, match="bm25_b"):
+        build_index(SIX, b=1.5)
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "eps"]
+
+
+@st.composite
+def corpus_and_query(draw):
+    pid = st.text("pqrs", min_size=1, max_size=3)
+    ids = draw(st.lists(pid, min_size=1, max_size=8, unique=True))
+    texts = [" ".join(draw(st.lists(st.sampled_from(WORDS + ["!"]), max_size=8))) for _ in ids]
+    # The oracle divides by the mean length, so keep at least one token.
+    texts[0] += " " + draw(st.sampled_from(WORDS))
+    query = " ".join(draw(st.lists(st.sampled_from(WORDS + ["unseen"]), max_size=5)))
+    k = draw(st.integers(min_value=1, max_value=len(ids) + 2))
+    return [make_passage(pid, text) for pid, text in zip(ids, texts)], query, k
+
+
+@given(corpus_and_query())
+def test_topk_and_scores_match_oracle_on_random_corpora(case):
+    passages, query, k = case
+    assert_matches_oracle(passages, query, k)
+
+
+def placement_config(mode: PlacementMode, k: int = 3) -> RetrievalConfig:
+    return RetrievalConfig(k=k, placement_mode=mode)
+
+
+def test_short_ranking_keeps_every_entry_when_gold_is_inserted():
+    ranked = ranked_list_from_ids("q", ["a", "b"], k=3)
+    question = make_question("q", "x", ("y",), gold="g")
+    top = apply_gold_placement(ranked, question, placement_config(PlacementMode.GOLD_TOP))
+    bottom = apply_gold_placement(ranked, question, placement_config(PlacementMode.GOLD_BOTTOM))
+    assert top.passage_ids() == ["g", "a", "b"]
+    assert bottom.passage_ids() == ["a", "b", "g"]
+    full = apply_gold_placement(
+        ranked_list_from_ids("q", ["a", "b", "c"], k=3),
+        question,
+        placement_config(PlacementMode.GOLD_TOP),
+    )
+    assert full.passage_ids() == ["g", "a", "b"]
+
+
+@pytest.mark.parametrize("mode", GOLD_MODES)
+def test_empty_ranking_with_gold_placement_is_a_value_error(mode):
+    ranked = ranked_list_from_ids("q", [], k=3)
+    question = make_question("q", "x", ("y",), gold="g")
+    with pytest.raises(ValueError, match="non-empty ranking"):
+        apply_gold_placement(ranked, question, placement_config(mode))
+
+
+@given(
+    ids=st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6, unique=True),
+    gold=st.sampled_from("abcdefghij"),
+    k=st.integers(min_value=1, max_value=6),
+    mode=st.sampled_from(GOLD_MODES),
+    seed=st.integers(min_value=0, max_value=50),
+)
+def test_placement_keeps_min_k_len_plus_one_entries(ids, gold, k, mode, seed):
+    ranked = ranked_list_from_ids("q", ids, k)
+    question = make_question("q", "x", ("y",), gold=gold)
+    config = RetrievalConfig(k=k, placement_mode=mode, rng_seed=seed)
+    placed = apply_gold_placement(ranked, question, config).passage_ids()
+    before = ranked.passage_ids()
+    expected_len = len(before) if gold in before else min(k, len(before) + 1)
+    assert len(placed) == expected_len
+    assert placed.count(gold) == 1
+    others = [pid for pid in placed if pid != gold]
+    assert others == [pid for pid in before if pid != gold][: len(others)]
