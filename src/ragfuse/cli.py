@@ -10,7 +10,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import yaml
 
@@ -26,7 +26,7 @@ from .corpus import (
 from .evaluation import (
     EvalRecord,
     EvalReport,
-    TraceTokens,
+    StrategyReport,
     aggregate,
     filter_dataset,
     score_trace,
@@ -43,7 +43,7 @@ from .llm import (
     TransportError,
     load_script,
 )
-from .prompts import TEMPLATE_VERSION, UnknownPolicy
+from .prompts import TEMPLATE_VERSION, Answer, UnknownPolicy
 from .retriever import (
     Bm25Index,
     PlacementMode,
@@ -54,7 +54,7 @@ from .retriever import (
     ranked_list_from_ids,
     retrieve_top_k,
 )
-from .strategies import Strategy, StrategyTrace, run_strategy
+from .strategies import Exchange, Strategy, StrategyTrace, run_strategy
 
 _BACKENDS = ("rule", "script", "live")
 _SWEEP = "sweep"
@@ -234,80 +234,61 @@ def question_to_dict(question: Question) -> dict:
     return record
 
 
+# Row layouts of the artifacts, taken once from the dataclasses. Records read
+# back are checked against the field types, where an int is a valid float
+# because JSON has one number type.
+_TRACE_FIELDS = tuple(f.name for f in fields(StrategyTrace))
+_RECORD_TYPES = {
+    name: (int, float) if hint is float else hint
+    for name, hint in get_type_hints(EvalRecord).items()
+}
+_REPORT_COLUMNS = tuple(f.name for f in fields(StrategyReport))
+
+
+def _exchange_to_dict(exchange: Exchange) -> dict:
+    return {
+        "kind": exchange.kind.value,
+        "exchange_key": exchange.exchange_key,
+        "prompt": exchange.request.prompt_text,
+        "response": exchange.response.text,
+        "prompt_tokens": exchange.response.prompt_tokens,
+        "completion_tokens": exchange.response.completion_tokens,
+        "backend": exchange.response.backend.value,
+    }
+
+
 def trace_to_dict(trace: StrategyTrace) -> dict:
-    return {
-        "strategy": trace.strategy.value,
-        "question_id": trace.question_id,
-        "passage_ids": list(trace.passage_ids),
-        "final": trace.final.text,
-        "rounds_used": trace.rounds_used,
-        "finalized_by_vote": trace.finalized_by_vote,
-        "off_pool": trace.off_pool,
-        "per_passage_answers": (
-            [a.text for a in trace.per_passage_answers]
-            if trace.per_passage_answers is not None
-            else None
-        ),
-        "candidate_pool": list(trace.candidate_pool) if trace.candidate_pool is not None else None,
-        "prompt_tokens_total": trace.prompt_tokens_total,
-        "completion_tokens_total": trace.completion_tokens_total,
-        "exchanges": [
-            {
-                "kind": exchange.kind.value,
-                "exchange_key": exchange.exchange_key,
-                "prompt": exchange.request.prompt_text,
-                "response": exchange.response.text,
-                "prompt_tokens": exchange.response.prompt_tokens,
-                "completion_tokens": exchange.response.completion_tokens,
-                "backend": exchange.response.backend.value,
-            }
-            for exchange in trace.exchanges
-        ],
-    }
+    """Every trace field; an Answer becomes its text, an Exchange its flat row."""
+    row = {}
+    for name in _TRACE_FIELDS:
+        value = getattr(trace, name)
+        if isinstance(value, Answer):
+            value = value.text
+        elif isinstance(value, tuple) and value and not isinstance(value[0], str):
+            value = [
+                item.text if isinstance(item, Answer) else _exchange_to_dict(item)
+                for item in value
+            ]
+        row[name] = value
+    return row
 
 
-def record_to_dict(record: EvalRecord, trace: StrategyTrace) -> dict:
-    return {
-        "question_id": record.question_id,
-        "strategy": record.strategy,
-        "em": record.em,
-        "f1": record.f1,
-        "is_unknown": record.is_unknown,
-        "pool_contains_gold": record.pool_contains_gold,
-        "nm_event": record.nm_event,
-        "prompt_tokens_total": trace.prompt_tokens_total,
-        "completion_tokens_total": trace.completion_tokens_total,
-    }
+def record_to_dict(record: EvalRecord) -> dict:
+    return {name: getattr(record, name) for name in _RECORD_TYPES}
+
+
+def _report_row(row: StrategyReport) -> list:
+    return [getattr(row, column) for column in _REPORT_COLUMNS]
 
 
 def report_to_dict(report: EvalReport) -> dict:
     return {
         "nm_denominator": report.nm_denominator,
         "strategies": [
-            {
-                "strategy": row.strategy,
-                "num_questions": row.num_questions,
-                "em_pct": row.em_pct,
-                "f1_pct": row.f1_pct,
-                "unknown_rate": row.unknown_rate,
-                "no_match_rate": row.no_match_rate,
-                "no_match_numerator": row.no_match_numerator,
-                "no_match_denominator": row.no_match_denominator,
-                "mean_prompt_tokens": row.mean_prompt_tokens,
-                "mean_completion_tokens": row.mean_completion_tokens,
-                "total_prompt_tokens": row.total_prompt_tokens,
-                "total_completion_tokens": row.total_completion_tokens,
-            }
+            {column: getattr(row, column) for column in _REPORT_COLUMNS}
             for row in report.strategies
         ],
     }
-
-
-_REPORT_COLUMNS = (
-    "strategy", "num_questions", "em_pct", "f1_pct", "unknown_rate", "no_match_rate",
-    "no_match_numerator", "no_match_denominator", "mean_prompt_tokens",
-    "mean_completion_tokens", "total_prompt_tokens", "total_completion_tokens",
-)
 
 
 def format_report(report: EvalReport) -> str:
@@ -475,7 +456,7 @@ def _run_single(config: RunConfig) -> EvalReport:
                     all_traces.append(trace)
                     all_records.append(record)
                     traces_file.write(_json_line(trace_to_dict(trace)))
-                    records_file.write(_json_line(record_to_dict(record, trace)))
+                    records_file.write(_json_line(record_to_dict(record)))
         except Exception as exc:
             status, error_text = "failed", str(exc)
             raise
@@ -484,7 +465,7 @@ def _run_single(config: RunConfig) -> EvalReport:
                 executor.shutdown(wait=False, cancel_futures=True)
             # Written even on failure so a crashed run leaves a partial
             # manifest next to whatever traces/records completed.
-            report = aggregate(all_records, all_traces, config.nm_denominator)
+            report = aggregate(all_records, config.nm_denominator)
             _write_run_outputs(config, report, all_traces, len(questions), status, error_text)
     print(f"placement={config.placement} backend={config.backend} k={config.k}")
     print(format_report(report))
@@ -507,8 +488,7 @@ def _write_run_outputs(
     with (config.out / "report.csv").open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_REPORT_COLUMNS)
-        for row in report.strategies:
-            writer.writerow([getattr(row, column) for column in _REPORT_COLUMNS])
+        writer.writerows(_report_row(row) for row in report.strategies)
     with (config.out / "tokens.csv").open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["strategy", "question_id", "calls", "prompt_tokens", "completion_tokens"])
@@ -558,9 +538,7 @@ def cmd_run(config: RunConfig) -> dict[str, EvalReport]:
         writer.writerow(["placement", *_REPORT_COLUMNS])
         for mode in _SWEEP_MODES:
             for row in reports[mode.value].strategies:
-                writer.writerow(
-                    [mode.value, *[getattr(row, column) for column in _REPORT_COLUMNS]]
-                )
+                writer.writerow([mode.value, *_report_row(row)])
     print(f"wrote {config.out / 'sweep.csv'}")
     return reports
 
@@ -571,7 +549,6 @@ def cmd_report(records_path: Path, nm_denominator: str = "pool") -> EvalReport:
     if not path.exists():
         raise ValueError(f"records file not found: {path}")
     records: list[EvalRecord] = []
-    tokens: list[TraceTokens] = []
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -580,26 +557,15 @@ def cmd_report(records_path: Path, nm_denominator: str = "pool") -> EvalReport:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            records.append(
-                EvalRecord(
-                    question_id=row["question_id"],
-                    strategy=row["strategy"],
-                    em=int(row["em"]),
-                    f1=float(row["f1"]),
-                    is_unknown=bool(row["is_unknown"]),
-                    pool_contains_gold=row["pool_contains_gold"],
-                    nm_event=row["nm_event"],
-                )
-            )
-            tokens.append(
-                TraceTokens(
-                    strategy=row["strategy"],
-                    question_id=row["question_id"],
-                    prompt_tokens_total=int(row["prompt_tokens_total"]),
-                    completion_tokens_total=int(row["completion_tokens_total"]),
-                )
-            )
-    report = aggregate(records, tokens, nm_denominator)
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            for name, types in _RECORD_TYPES.items():
+                if name not in row:
+                    raise ValueError(f"{path}:{lineno}: missing field {name!r}")
+                if not isinstance(row[name], types):
+                    raise ValueError(f"{path}:{lineno}: field {name!r} has the wrong type")
+            records.append(EvalRecord(**{name: row[name] for name in _RECORD_TYPES}))
+    report = aggregate(records, nm_denominator)
     print(format_report(report))
     return report
 

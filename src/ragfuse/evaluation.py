@@ -5,7 +5,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Question
 from .llm import CompletionClient, CompletionRequest
@@ -62,7 +62,8 @@ def f1_score(prediction: str, gold_answers: Sequence[str]) -> float:
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """Per-question, per-strategy outcome; None fields mean 'not applicable'."""
+    """Per-question, per-strategy outcome and token totals; None fields mean
+    'not applicable'. A records.jsonl row holds exactly these fields."""
 
     question_id: str
     strategy: str
@@ -71,6 +72,8 @@ class EvalRecord:
     is_unknown: bool
     pool_contains_gold: bool | None
     nm_event: bool | None
+    prompt_tokens_total: int = 0
+    completion_tokens_total: int = 0
 
 
 def _strategy_name(strategy: object) -> str:
@@ -110,6 +113,8 @@ def score_trace(trace: "StrategyTrace", question: Question) -> EvalRecord:
         is_unknown=is_unknown,
         pool_contains_gold=pool_contains_gold,
         nm_event=nm_event,
+        prompt_tokens_total=trace.prompt_tokens_total,
+        completion_tokens_total=trace.completion_tokens_total,
     )
 
 
@@ -143,16 +148,6 @@ def filter_dataset(
 
 
 @dataclass(frozen=True)
-class TraceTokens:
-    """Token totals for one trace; stand-in when full traces are not loaded."""
-
-    strategy: str
-    question_id: str
-    prompt_tokens_total: int
-    completion_tokens_total: int
-
-
-@dataclass(frozen=True)
 class StrategyReport:
     """One aggregate row: EM/F1 are percentages, the rates are fractions."""
 
@@ -178,14 +173,12 @@ class EvalReport:
 
 def aggregate(
     records: Sequence[EvalRecord],
-    traces: Iterable[object] = (),
     nm_denominator: str = "pool",
 ) -> EvalReport:
     """Aggregate per-question records into one row per strategy.
 
-    Strategies appear in order of first occurrence in records. traces may be
-    full StrategyTrace objects or TraceTokens rows; only strategy,
-    question_id and the token totals are read. nm_denominator selects the
+    Strategies appear in order of first occurrence in records; token means
+    are per record of the strategy. nm_denominator selects the
     no-match base: "pool" counts only questions whose vote pool contained a
     gold answer, "all" counts every question of the strategy.
     """
@@ -198,12 +191,6 @@ def aggregate(
             order.append(record.strategy)
             grouped[record.strategy] = []
         grouped[record.strategy].append(record)
-    tokens: dict[str, list[tuple[int, int]]] = {}
-    for trace in traces:
-        name = _strategy_name(trace.strategy)
-        tokens.setdefault(name, []).append(
-            (trace.prompt_tokens_total, trace.completion_tokens_total)
-        )
     rows = []
     for name in order:
         group = grouped[name]
@@ -213,9 +200,8 @@ def aggregate(
             nm_den = sum(1 for r in group if r.pool_contains_gold)
         else:
             nm_den = n
-        usage = tokens.get(name, [])
-        total_prompt = sum(p for p, _ in usage)
-        total_completion = sum(c for _, c in usage)
+        total_prompt = sum(r.prompt_tokens_total for r in group)
+        total_completion = sum(r.completion_tokens_total for r in group)
         rows.append(
             StrategyReport(
                 strategy=name,
@@ -226,8 +212,8 @@ def aggregate(
                 no_match_rate=(nm_num / nm_den) if nm_den else 0.0,
                 no_match_numerator=nm_num,
                 no_match_denominator=nm_den,
-                mean_prompt_tokens=total_prompt / len(usage) if usage else 0.0,
-                mean_completion_tokens=total_completion / len(usage) if usage else 0.0,
+                mean_prompt_tokens=total_prompt / n,
+                mean_completion_tokens=total_completion / n,
                 total_prompt_tokens=total_prompt,
                 total_completion_tokens=total_completion,
             )

@@ -209,23 +209,38 @@ class ResponseCache:
     """Append-only JSONL cache keyed by a hash of (model, prompt).
 
     Lets an interrupted live run resume without re-billing completed calls.
+    An unterminated final line is what an interrupted append leaves behind:
+    it is skipped on load and cut off before the next append. Any other
+    unreadable line is corruption and raises ValueError naming path:line.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[str, int, int]] = {}
-        if self.path.exists():
-            with self.path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
+        self._torn_at: int | None = None
+        if not self.path.exists():
+            return
+        with self.path.open("rb") as handle:
+            size = 0
+            for lineno, line in enumerate(handle, start=1):
+                if not line.endswith(b"\n"):
+                    self._torn_at = size
+                    break
+                size += len(line)
+                if not line.strip():
+                    continue
+                try:
                     record = json.loads(line)
                     self._entries[record["key"]] = (
                         record["text"],
                         int(record["prompt_tokens"]),
                         int(record["completion_tokens"]),
                     )
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"{self.path}:{lineno}: unreadable cache entry ({exc})"
+                    ) from exc
 
     @staticmethod
     def key_for(model: str, prompt_text: str) -> str:
@@ -252,6 +267,9 @@ class ResponseCache:
             self._entries[key] = (text, prompt_tokens, completion_tokens)
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as handle:
+                if self._torn_at is not None:
+                    handle.truncate(self._torn_at)
+                    self._torn_at = None
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 

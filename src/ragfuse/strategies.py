@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 from .corpus import Passage, Question
@@ -88,246 +89,6 @@ def majority_vote(answers: Sequence[Answer], ranks: Sequence[int]) -> Answer:
     return Answer.of(raw)
 
 
-def _require_passages(passages: Sequence[Passage]) -> None:
-    if not passages:
-        raise ValueError("strategy needs at least one passage")
-
-
-def _call(
-    client: CompletionClient,
-    kind: PromptKind,
-    exchange_key: str,
-    prompt: str,
-    question: Question,
-    max_response_tokens: int,
-) -> Exchange:
-    request = CompletionRequest(
-        prompt_text=prompt,
-        max_response_tokens=max_response_tokens,
-        question_id=question.question_id,
-        exchange_key=exchange_key,
-    )
-    try:
-        response = client.complete(request)
-    except Exception as exc:
-        exc.args = (f"question {question.question_id} ({exchange_key}): {exc}",)
-        raise
-    return Exchange(kind=kind, exchange_key=exchange_key, request=request, response=response)
-
-
-def _finish(
-    strategy: Strategy,
-    question: Question,
-    passages: Sequence[Passage],
-    exchanges: Sequence[Exchange],
-    final: Answer,
-    rounds_used: int,
-    finalized_by_vote: bool = False,
-    off_pool: bool = False,
-    per_passage_answers: Sequence[Answer] | None = None,
-    candidate_pool: Sequence[str] | None = None,
-) -> StrategyTrace:
-    return StrategyTrace(
-        strategy=strategy,
-        question_id=question.question_id,
-        passage_ids=tuple(p.passage_id for p in passages),
-        exchanges=tuple(exchanges),
-        final=final,
-        rounds_used=rounds_used,
-        finalized_by_vote=finalized_by_vote,
-        off_pool=off_pool,
-        per_passage_answers=tuple(per_passage_answers) if per_passage_answers is not None else None,
-        candidate_pool=tuple(candidate_pool) if candidate_pool is not None else None,
-        prompt_tokens_total=sum(e.response.prompt_tokens for e in exchanges),
-        completion_tokens_total=sum(e.response.completion_tokens for e in exchanges),
-    )
-
-
-def _per_passage_round(
-    passages: Sequence[Passage],
-    question: Question,
-    client: CompletionClient,
-    policy: UnknownPolicy,
-    max_response_tokens: int,
-) -> tuple[list[Exchange], list[Answer]]:
-    exchanges: list[Exchange] = []
-    answers: list[Answer] = []
-    for index, passage in enumerate(passages):
-        prompt = render_post_fusion_single(passage, question, sentinel=policy.sentinel)
-        exchange = _call(
-            client, PromptKind.POST_FUSION_SINGLE, f"pf:{index}", prompt, question,
-            max_response_tokens,
-        )
-        exchanges.append(exchange)
-        answers.append(classify_response(exchange.response.text, policy))
-    return exchanges, answers
-
-
-def run_concatenation(
-    passages: Sequence[Passage],
-    question: Question,
-    client: CompletionClient,
-    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-) -> StrategyTrace:
-    """One call with every passage in the prompt."""
-    _require_passages(passages)
-    prompt = render_concatenation(list(passages), question, sentinel=policy.sentinel)
-    exchange = _call(
-        client, PromptKind.CONCATENATION, "concat", prompt, question, max_response_tokens
-    )
-    final = classify_response(exchange.response.text, policy)
-    return _finish(Strategy.CONCAT, question, passages, [exchange], final, rounds_used=1)
-
-
-def run_post_fusion(
-    passages: Sequence[Passage],
-    question: Question,
-    client: CompletionClient,
-    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-) -> StrategyTrace:
-    """One call per passage, then a majority vote over the answers."""
-    _require_passages(passages)
-    exchanges, answers = _per_passage_round(
-        passages, question, client, policy, max_response_tokens
-    )
-    final = majority_vote(answers, list(range(len(answers))))
-    return _finish(
-        Strategy.POST_FUSION,
-        question,
-        passages,
-        exchanges,
-        final,
-        rounds_used=1,
-        finalized_by_vote=True,
-        per_passage_answers=answers,
-    )
-
-
-def run_pruning(
-    passages: Sequence[Passage],
-    question: Question,
-    client: CompletionClient,
-    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-) -> StrategyTrace:
-    """One call that discards irrelevant passages before answering."""
-    _require_passages(passages)
-    prompt = render_pruning(list(passages), question, sentinel=policy.sentinel)
-    exchange = _call(client, PromptKind.PRUNING, "pruning", prompt, question, max_response_tokens)
-    final = classify_response(exchange.response.text, policy)
-    return _finish(Strategy.PRUNING, question, passages, [exchange], final, rounds_used=1)
-
-
-def run_summary(
-    passages: Sequence[Passage],
-    question: Question,
-    client: CompletionClient,
-    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-) -> StrategyTrace:
-    """One call that condenses the passages before answering."""
-    _require_passages(passages)
-    prompt = render_summary(list(passages), question, sentinel=policy.sentinel)
-    exchange = _call(client, PromptKind.SUMMARY, "summary", prompt, question, max_response_tokens)
-    final = classify_response(exchange.response.text, policy)
-    return _finish(Strategy.SUMMARY, question, passages, [exchange], final, rounds_used=1)
-
-
-def run_concat_pf(
-    passages: Sequence[Passage],
-    question: Question,
-    client: CompletionClient,
-    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-) -> StrategyTrace:
-    """Concatenation first; on Unknown, fall back to a post-fusion round."""
-    _require_passages(passages)
-    prompt = render_concatenation(list(passages), question, sentinel=policy.sentinel)
-    first = _call(
-        client, PromptKind.CONCATENATION, "concat", prompt, question, max_response_tokens
-    )
-    answer = classify_response(first.response.text, policy)
-    if not answer.is_unknown:
-        return _finish(Strategy.CONCAT_PF, question, passages, [first], answer, rounds_used=1)
-    exchanges, answers = _per_passage_round(
-        passages, question, client, policy, max_response_tokens
-    )
-    final = majority_vote(answers, list(range(len(answers))))
-    return _finish(
-        Strategy.CONCAT_PF,
-        question,
-        passages,
-        [first, *exchanges],
-        final,
-        rounds_used=2,
-        finalized_by_vote=True,
-        per_passage_answers=answers,
-    )
-
-
-def run_pf_concat(
-    passages: Sequence[Passage],
-    question: Question,
-    client: CompletionClient,
-    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-) -> StrategyTrace:
-    """Post-fusion round first, then a second call distills the candidates."""
-    _require_passages(passages)
-    exchanges, answers = _per_passage_round(
-        passages, question, client, policy, max_response_tokens
-    )
-    survivors = [
-        (passage, answer)
-        for passage, answer in zip(passages, answers)
-        if not answer.is_unknown
-    ]
-    if not survivors:
-        return _finish(
-            Strategy.PF_CONCAT,
-            question,
-            passages,
-            exchanges,
-            UNKNOWN,
-            rounds_used=1,
-            per_passage_answers=answers,
-            candidate_pool=(),
-        )
-    survivor_passages = [passage for passage, _ in survivors]
-    candidates = list(dict.fromkeys(answer.text for _, answer in survivors))
-    prompt = render_distill(
-        survivor_passages, question, candidates, sentinel=policy.sentinel
-    )
-    distill = _call(client, PromptKind.DISTILL, "distill", prompt, question, max_response_tokens)
-    final = classify_response(distill.response.text, policy)
-    off_pool = not final.is_unknown and normalize_answer(final.text) not in {
-        normalize_answer(candidate) for candidate in candidates
-    }
-    return _finish(
-        Strategy.PF_CONCAT,
-        question,
-        passages,
-        [*exchanges, distill],
-        final,
-        rounds_used=2,
-        off_pool=off_pool,
-        per_passage_answers=answers,
-        candidate_pool=candidates,
-    )
-
-
-_RUNNERS = {
-    Strategy.CONCAT: run_concatenation,
-    Strategy.POST_FUSION: run_post_fusion,
-    Strategy.PRUNING: run_pruning,
-    Strategy.SUMMARY: run_summary,
-    Strategy.CONCAT_PF: run_concat_pf,
-    Strategy.PF_CONCAT: run_pf_concat,
-}
-
-
 def run_strategy(
     strategy: Strategy,
     passages: Sequence[Passage],
@@ -336,7 +97,100 @@ def run_strategy(
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
 ) -> StrategyTrace:
-    """Dispatch to the runner for the given strategy."""
-    return _RUNNERS[strategy](
-        passages, question, client, policy=policy, max_response_tokens=max_response_tokens
+    """Run one strategy on one question's passages.
+
+    Every strategy is built from two primitives: one call with all passages
+    in the prompt (concat, pruning, summary), and a round of one call per
+    passage closed by a majority vote (post_fusion). concat_pf makes the
+    concat call and falls back to the round on Unknown; pf_concat runs the
+    round, then distills the surviving answers in one more call.
+    """
+    if not passages:
+        raise ValueError("strategy needs at least one passage")
+    passages = list(passages)
+    sentinel = policy.sentinel
+    exchanges: list[Exchange] = []
+
+    def ask(kind: PromptKind, prompt: str, exchange_key: str | None = None) -> Answer:
+        request = CompletionRequest(
+            prompt_text=prompt,
+            max_response_tokens=max_response_tokens,
+            question_id=question.question_id,
+            exchange_key=exchange_key or kind.value,
+        )
+        try:
+            response = client.complete(request)
+        except Exception as exc:
+            exc.args = (f"question {question.question_id} ({request.exchange_key}): {exc}",)
+            raise
+        exchanges.append(Exchange(kind, request.exchange_key, request, response))
+        return classify_response(response.text, policy)
+
+    def finish(final: Answer, rounds_used: int, **outcome: object) -> StrategyTrace:
+        return StrategyTrace(
+            strategy=strategy,
+            question_id=question.question_id,
+            passage_ids=tuple(p.passage_id for p in passages),
+            exchanges=tuple(exchanges),
+            final=final,
+            rounds_used=rounds_used,
+            prompt_tokens_total=sum(e.response.prompt_tokens for e in exchanges),
+            completion_tokens_total=sum(e.response.completion_tokens for e in exchanges),
+            **outcome,
+        )
+
+    # The single-call strategies. Built per call so that the renderers are
+    # looked up by their module names at call time, like every other call
+    # here; a wrapper rebound to those names (a profiler, a test double)
+    # then sees these calls too.
+    single_call = {
+        Strategy.CONCAT: (PromptKind.CONCATENATION, render_concatenation),
+        Strategy.PRUNING: (PromptKind.PRUNING, render_pruning),
+        Strategy.SUMMARY: (PromptKind.SUMMARY, render_summary),
+    }
+    rounds_used = 1
+    first = Strategy.CONCAT if strategy is Strategy.CONCAT_PF else strategy
+    if first in single_call:
+        kind, render = single_call[first]
+        answer = ask(kind, render(passages, question, sentinel=sentinel))
+        if strategy is not Strategy.CONCAT_PF or not answer.is_unknown:
+            return finish(answer, rounds_used)
+        rounds_used = 2
+    answers = tuple(
+        ask(
+            PromptKind.POST_FUSION_SINGLE,
+            render_post_fusion_single(passage, question, sentinel=sentinel),
+            f"pf:{index}",
+        )
+        for index, passage in enumerate(passages)
     )
+    if strategy is not Strategy.PF_CONCAT:
+        final = majority_vote(answers, range(len(answers)))
+        return finish(final, rounds_used, finalized_by_vote=True, per_passage_answers=answers)
+    survivors = [p for p, answer in zip(passages, answers) if not answer.is_unknown]
+    if not survivors:
+        return finish(UNKNOWN, rounds_used, per_passage_answers=answers, candidate_pool=())
+    candidates = tuple(dict.fromkeys(a.text for a in answers if not a.is_unknown))
+    final = ask(
+        PromptKind.DISTILL,
+        render_distill(survivors, question, list(candidates), sentinel=sentinel),
+    )
+    off_pool = not final.is_unknown and normalize_answer(final.text) not in {
+        normalize_answer(candidate) for candidate in candidates
+    }
+    return finish(
+        final,
+        rounds_used + 1,
+        off_pool=off_pool,
+        per_passage_answers=answers,
+        candidate_pool=candidates,
+    )
+
+
+# One name per strategy for callers that fix the strategy in code.
+run_concatenation = partial(run_strategy, Strategy.CONCAT)
+run_post_fusion = partial(run_strategy, Strategy.POST_FUSION)
+run_pruning = partial(run_strategy, Strategy.PRUNING)
+run_summary = partial(run_strategy, Strategy.SUMMARY)
+run_concat_pf = partial(run_strategy, Strategy.CONCAT_PF)
+run_pf_concat = partial(run_strategy, Strategy.PF_CONCAT)

@@ -191,7 +191,7 @@ def test_criterion_04_pf_concat_no_match_rate_is_structurally_zero(toy_run):
     assert record.em == 0
     assert record.nm_event is None and record.pool_contains_gold is None
     for denominator in ("pool", "all"):
-        report = aggregate([record], [trace], nm_denominator=denominator)
+        report = aggregate([record], nm_denominator=denominator)
         assert report.strategies[0].no_match_rate == 0.0
         assert report.strategies[0].no_match_numerator == 0
     print("ACCEPTANCE: no-match rate is structurally zero for pf_concat under both denominators")

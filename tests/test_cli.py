@@ -328,6 +328,41 @@ def test_cmd_report_missing_and_empty_files(tmp_path, capsys):
     assert "strategy" in out  # headers print even with no rows
 
 
+def test_main_rejects_malformed_records_rows(tmp_path, capsys):
+    config = run_config(tmp_path)
+    cmd_run(config)
+    good = (tmp_path / "out" / "records.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    path = tmp_path / "records.jsonl"
+    bad_rows = {
+        '{"question_id": "q1", "strategy": "concat"}': "missing field 'em'",
+        "[1, 2]": "expected a JSON object",
+        good.replace('"em": 1', '"em": "1"').replace('"em": 0', '"em": "0"'): "field 'em'",
+    }
+    for bad, message in bad_rows.items():
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: ")
+        assert message in err
+
+
+def test_main_rejects_a_corrupt_response_cache(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"key": "a"\n{"key": "b"}\n', encoding="utf-8")
+    config_path = write_config(
+        tmp_path / "run.yaml",
+        out=tmp_path / "out",
+        strategies="concat",
+        backend="live",
+        endpoint="http://127.0.0.1:9/v1/chat/completions",
+        model="m",
+        cache=cache,
+    )
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cache}:1: unreadable cache entry")
+
+
 def test_format_report_has_one_line_per_strategy(tmp_path):
     config = run_config(tmp_path)
     report = cmd_run(config)["no_gold"]

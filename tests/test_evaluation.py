@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import make_passage, make_question
 from ragfuse.evaluation import (
     EvalRecord,
-    TraceTokens,
     aggregate,
     exact_match,
     f1_score,
@@ -110,6 +109,8 @@ def test_score_trace_leaves_fields_undefined_without_vote():
     assert record.em == 1 and record.f1 == 1.0
     assert record.pool_contains_gold is None
     assert record.nm_event is None
+    assert record.prompt_tokens_total == trace.prompt_tokens_total > 0
+    assert record.completion_tokens_total == trace.completion_tokens_total > 0
 
 
 def test_score_trace_pf_concat_never_defines_nm():
@@ -162,7 +163,9 @@ def test_filter_empty_input():
     assert filter_dataset([], ScriptClient({})) == ([], [])
 
 
-def record(strategy="s", em=0, f1=0.0, unknown=False, pool=None, nm=None, qid="q"):
+def record(
+    strategy="s", em=0, f1=0.0, unknown=False, pool=None, nm=None, qid="q", prompt=0, completion=0
+):
     return EvalRecord(
         question_id=qid,
         strategy=strategy,
@@ -171,6 +174,8 @@ def record(strategy="s", em=0, f1=0.0, unknown=False, pool=None, nm=None, qid="q
         is_unknown=unknown,
         pool_contains_gold=pool,
         nm_event=nm,
+        prompt_tokens_total=prompt,
+        completion_tokens_total=completion,
     )
 
 
@@ -216,13 +221,12 @@ def test_aggregate_orders_strategies_by_first_occurrence():
     assert [row.num_questions for row in report.strategies] == [2, 1]
 
 
-def test_aggregate_token_means_come_from_traces():
-    records = [record(strategy="s", qid="q1"), record(strategy="s", qid="q2")]
-    traces = [
-        TraceTokens(strategy="s", question_id="q1", prompt_tokens_total=10, completion_tokens_total=2),
-        TraceTokens(strategy="s", question_id="q2", prompt_tokens_total=20, completion_tokens_total=4),
+def test_aggregate_token_means_come_from_records():
+    records = [
+        record(strategy="s", qid="q1", prompt=10, completion=2),
+        record(strategy="s", qid="q2", prompt=20, completion=4),
     ]
-    row = aggregate(records, traces).strategies[0]
+    row = aggregate(records).strategies[0]
     assert row.mean_prompt_tokens == 15.0
     assert row.mean_completion_tokens == 3.0
     assert row.total_prompt_tokens == 30

@@ -349,3 +349,42 @@ def test_response_cache_put_is_idempotent(tmp_path):
     cache.put("k", "other", 9, 9)
     assert cache.get("k") == ("text", 1, 2)
     assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+
+
+def test_response_cache_resumes_after_a_torn_final_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first = ResponseCache(path)
+    first.put("a", "alpha", 1, 1)
+    first.put("b", "beta", 2, 1)
+    # an interrupted append: the third entry stops mid-string, multibyte
+    # character cut in half, no newline
+    torn = '{"completion_tokens": 1, "key": "c", "text": "gammé'.encode("utf-8")[:-1]
+    path.write_bytes(path.read_bytes() + torn)
+    resumed = ResponseCache(path)
+    assert (resumed.get("a"), resumed.get("b"), resumed.get("c")) == (
+        ("alpha", 1, 1),
+        ("beta", 2, 1),
+        None,
+    )
+    resumed.put("c", "gamma", 3, 1)
+    resumed.put("d", "delta", 4, 1)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 4 and path.read_bytes().endswith(b"\n")
+    reloaded = ResponseCache(path)
+    assert [reloaded.get(key) for key in "abcd"] == [
+        ("alpha", 1, 1),
+        ("beta", 2, 1),
+        ("gamma", 3, 1),
+        ("delta", 4, 1),
+    ]
+
+
+def test_response_cache_rejects_a_bad_line_in_the_middle(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("a", "alpha", 1, 1)
+    good = path.read_text(encoding="utf-8")
+    for bad in ('{"key": "b", "text": "be\n', "[1, 2]\n", '{"key": "b"}\n'):
+        path.write_text(good + bad + good, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{path.name}:2: unreadable cache entry"):
+            ResponseCache(path)
