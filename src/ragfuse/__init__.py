@@ -2,7 +2,6 @@
 
 from .corpus import (
     CorpusError,
-    CorpusStats,
     Document,
     Passage,
     Question,

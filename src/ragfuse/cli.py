@@ -1,4 +1,4 @@
-"""Command-line interface: index, filter, run, and report subcommands."""
+"""Command-line interface: filter, run, and report subcommands."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import yaml
 
 from .corpus import (
     CorpusError,
-    CorpusStats,
     Passage,
     Question,
     chunk_corpus,
@@ -135,22 +134,21 @@ class RunConfig:
             )
         first_mode = _SWEEP_MODES[0].value if self.placement == _SWEEP else self.placement
         self.retrieval(first_mode).validate()
-        if command in ("index", "run") and not self.corpus.exists():
+        if command == "run" and not self.corpus.exists():
             raise ValueError(f"corpus file not found: {self.corpus}")
-        if command in ("filter", "run") and not self.questions.exists():
+        if not self.questions.exists():
             raise ValueError(f"questions file not found: {self.questions}")
         if self.rankings is not None and not self.rankings.exists():
             raise ValueError(f"rankings file not found: {self.rankings}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-        if command in ("filter", "run"):
-            if self.backend == "script":
-                if self.script is None:
-                    raise ValueError("script backend needs a script file")
-                if not self.script.exists():
-                    raise ValueError(f"script file not found: {self.script}")
-            if self.backend == "live" and (not self.endpoint or not self.model):
-                raise ValueError("live backend needs both endpoint and model")
+        if self.backend == "script":
+            if self.script is None:
+                raise ValueError("script backend needs a script file")
+            if not self.script.exists():
+                raise ValueError(f"script file not found: {self.script}")
+        if self.backend == "live" and (not self.endpoint or not self.model):
+            raise ValueError("live backend needs both endpoint and model")
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
         if self.workers < 1:
@@ -318,47 +316,6 @@ def config_to_dict(config: RunConfig) -> dict:
     return snapshot
 
 
-def cmd_index(config: RunConfig) -> CorpusStats:
-    """Build the BM25 index and persist a snapshot under the output directory."""
-    config.validate("index")
-    documents = load_corpus(config.corpus)
-    passages = chunk_corpus(documents, config.max_passage_words)
-    index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b)
-    num_questions = len(load_questions(config.questions)) if config.questions.exists() else 0
-    stats = CorpusStats(
-        num_documents=len(documents),
-        num_passages=len(passages),
-        num_questions=num_questions,
-    )
-    snapshot = {
-        "bm25": {"k1": index.k1, "b": index.b},
-        "max_passage_words": config.max_passage_words,
-        "num_passages": index.num_passages,
-        "avg_length": index.avg_length,
-        "doc_freq": index.doc_freq,
-        "passages": [
-            {
-                "id": pid,
-                "doc_id": index.passages[pid].doc_id,
-                "title": index.passages[pid].title,
-                "text": index.passages[pid].text,
-                "word_count": index.passages[pid].word_count,
-            }
-            for pid in index.passage_ids
-        ],
-    }
-    config.out.mkdir(parents=True, exist_ok=True)
-    (config.out / "index.json").write_text(
-        json.dumps(snapshot, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    print(
-        f"indexed {stats.num_documents} documents into {stats.num_passages} passages "
-        f"({stats.num_questions} questions); wrote {config.out / 'index.json'}"
-    )
-    return stats
-
-
 def cmd_filter(config: RunConfig) -> tuple[list[Question], list[Question]]:
     """Partition questions by the closed-book probe and write both halves."""
     config.validate("filter")
@@ -442,21 +399,27 @@ def _run_single(config: RunConfig) -> EvalReport:
         return results
 
     config.out.mkdir(parents=True, exist_ok=True)
-    all_traces: list[StrategyTrace] = []
     all_records: list[EvalRecord] = []
     status, error_text = "complete", None
     executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    with (config.out / "traces.jsonl").open("w", encoding="utf-8") as traces_file, (
-        config.out / "records.jsonl"
-    ).open("w", encoding="utf-8") as records_file:
+    with (
+        (config.out / "traces.jsonl").open("w", encoding="utf-8") as traces_file,
+        (config.out / "records.jsonl").open("w", encoding="utf-8") as records_file,
+        (config.out / "tokens.csv").open("w", encoding="utf-8", newline="") as tokens_file,
+    ):
+        tokens = csv.writer(tokens_file)
+        tokens.writerow(["strategy", "question_id", "calls", "prompt_tokens", "completion_tokens"])
         try:
             results: Iterable = executor.map(work, questions) if executor else map(work, questions)
             for per_question in results:
                 for trace, record in per_question:
-                    all_traces.append(trace)
                     all_records.append(record)
                     traces_file.write(_json_line(trace_to_dict(trace)))
                     records_file.write(_json_line(record_to_dict(record)))
+                    tokens.writerow(
+                        (record.strategy, record.question_id, len(trace.exchanges),
+                         record.prompt_tokens_total, record.completion_tokens_total)
+                    )
         except Exception as exc:
             status, error_text = "failed", str(exc)
             raise
@@ -464,9 +427,9 @@ def _run_single(config: RunConfig) -> EvalReport:
             if executor is not None:
                 executor.shutdown(wait=False, cancel_futures=True)
             # Written even on failure so a crashed run leaves a partial
-            # manifest next to whatever traces/records completed.
+            # manifest next to whatever rows completed.
             report = aggregate(all_records, config.nm_denominator)
-            _write_run_outputs(config, report, all_traces, len(questions), status, error_text)
+            _write_run_outputs(config, report, len(questions), status, error_text)
     print(f"placement={config.placement} backend={config.backend} k={config.k}")
     print(format_report(report))
     print(f"usage: {client.ledger.snapshot()}")
@@ -477,7 +440,6 @@ def _run_single(config: RunConfig) -> EvalReport:
 def _write_run_outputs(
     config: RunConfig,
     report: EvalReport,
-    traces: Sequence[StrategyTrace],
     num_questions: int,
     status: str,
     error_text: str | None,
@@ -489,19 +451,6 @@ def _write_run_outputs(
         writer = csv.writer(handle)
         writer.writerow(_REPORT_COLUMNS)
         writer.writerows(_report_row(row) for row in report.strategies)
-    with (config.out / "tokens.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["strategy", "question_id", "calls", "prompt_tokens", "completion_tokens"])
-        for trace in traces:
-            writer.writerow(
-                [
-                    trace.strategy.value,
-                    trace.question_id,
-                    len(trace.exchanges),
-                    trace.prompt_tokens_total,
-                    trace.completion_tokens_total,
-                ]
-            )
     manifest = {
         "command": "run",
         "status": status,
@@ -597,7 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compare strategies for feeding top-k retrieved passages to an LLM.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    commands.add_parser("index", parents=[shared], help="build and persist the BM25 index")
     commands.add_parser(
         "filter", parents=[shared], help="drop questions the model answers closed-book"
     )
@@ -617,9 +565,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             cmd_report(args.records, args.nm_denominator)
             return 0
         config = apply_overrides(load_config(args.config), args)
-        if args.command == "index":
-            cmd_index(config)
-        elif args.command == "filter":
+        if args.command == "filter":
             cmd_filter(config)
         else:
             cmd_run(config)

@@ -39,13 +39,6 @@ class Question:
             raise CorpusError(f"question {self.question_id!r} has no gold answers")
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    num_documents: int = 0
-    num_passages: int = 0
-    num_questions: int = 0
-
-
 def chunk_document(doc: Document, max_words: int) -> list[Passage]:
     """Split a document into consecutive passages of at most max_words words.
 

@@ -122,7 +122,9 @@ class CompletionClient:
 
 class RuleClient(CompletionClient):
     """Deterministic mock: answers with the first gold alias found verbatim
-    (case-insensitively) in any passage of the prompt, else the sentinel."""
+    (case-insensitively) in any passage of the prompt, else the sentinel.
+    The question is found by the request's question_id, or, for a request
+    without one, by the prompt's question line."""
 
     backend = Backend.MOCK_RULE
 
@@ -134,17 +136,28 @@ class RuleClient(CompletionClient):
     ) -> None:
         super().__init__(max_prompt_tokens)
         self.sentinel = sentinel
-        self._by_text: dict[str, Question] = {}
+        self._by_id: dict[str, Question] = {}
+        # None marks a text shared by questions with different gold answers.
+        self._by_text: dict[str, Question | None] = {}
         for question in questions:
-            self._by_text[question.text] = question
+            self._by_id[question.question_id] = question
+            seen = self._by_text.setdefault(question.text, question)
+            if seen is not None and seen.gold_answers != question.gold_answers:
+                self._by_text[question.text] = None
 
     def _respond(self, request: CompletionRequest) -> tuple[str, int | None, int | None]:
         task = extract_task(request.prompt_text)
-        if task.question is None:
+        if request.question_id is not None:
+            key, registered = request.question_id, self._by_id
+        elif task.question is not None:
+            key, registered = task.question, self._by_text
+        else:
             raise RuleError("prompt has no recognizable question line")
-        question = self._by_text.get(task.question)
+        if key not in registered:
+            raise RuleError(f"question is not registered with the rule backend: {key!r}")
+        question = registered[key]
         if question is None:
-            raise RuleError(f"question text is not registered with the rule backend: {task.question!r}")
+            raise RuleError(f"question text is shared by different gold answers: {key!r}")
         haystacks = [p.lower() for p in task.passages]
         for alias in question.gold_answers:
             needle = alias.lower()
@@ -206,7 +219,7 @@ def load_script(path: str | Path) -> dict[tuple[str, str], str]:
 
 
 class ResponseCache:
-    """Append-only JSONL cache keyed by a hash of (model, prompt).
+    """Append-only JSONL cache keyed by a hash of the request payload.
 
     Lets an interrupted live run resume without re-billing completed calls.
     An unterminated final line is what an interrupted append leaves behind:
@@ -243,12 +256,9 @@ class ResponseCache:
                     ) from exc
 
     @staticmethod
-    def key_for(model: str, prompt_text: str) -> str:
-        digest = hashlib.sha256()
-        digest.update(model.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(prompt_text.encode("utf-8"))
-        return digest.hexdigest()
+    def key_for(payload: dict) -> str:
+        """Hash of the payload as sent: every request parameter is in the key."""
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> tuple[str, int, int] | None:
         with self._lock:
@@ -331,18 +341,18 @@ class LiveClient(CompletionClient):
         self._gate = threading.Semaphore(max_in_flight)
 
     def _respond(self, request: CompletionRequest) -> tuple[str, int | None, int | None]:
-        cache_key = None
-        if self.cache is not None:
-            cache_key = ResponseCache.key_for(self.model, request.prompt_text)
-            hit = self.cache.get(cache_key)
-            if hit is not None:
-                return hit
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt_text}],
             "temperature": request.temperature,
             "max_tokens": request.max_response_tokens,
         }
+        cache_key = None
+        if self.cache is not None:
+            cache_key = ResponseCache.key_for(payload)
+            hit = self.cache.get(cache_key)
+            if hit is not None:
+                return hit
         status, body = self._send_with_retries(payload)
         try:
             text = body["choices"][0]["message"]["content"]
@@ -351,7 +361,7 @@ class LiveClient(CompletionClient):
         usage = body.get("usage") or {}
         prompt_tokens = usage.get("prompt_tokens")
         completion_tokens = usage.get("completion_tokens")
-        if self.cache is not None and cache_key is not None:
+        if cache_key is not None:
             self.cache.put(
                 cache_key,
                 text,

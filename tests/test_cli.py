@@ -1,4 +1,4 @@
-"""Tests for config loading, overrides, and the four CLI subcommands."""
+"""Tests for config loading, overrides, and the three CLI subcommands."""
 
 import json
 from pathlib import Path
@@ -11,7 +11,6 @@ from ragfuse.cli import (
     RunConfig,
     apply_overrides,
     cmd_filter,
-    cmd_index,
     cmd_report,
     cmd_run,
     format_report,
@@ -115,52 +114,6 @@ def test_make_client_selects_backend(tmp_path):
     script.write_text("", encoding="utf-8")
     config.backend, config.script = "script", script
     assert isinstance(cli.make_client(config, []), ScriptClient)
-
-
-def small_corpus(tmp_path) -> Path:
-    path = tmp_path / "corpus.jsonl"
-    rows = [
-        {"id": "long", "title": "Long", "text": " ".join(f"w{i}" for i in range(250))},
-        {"id": "exact", "title": "Exact", "text": " ".join(f"x{i}" for i in range(100))},
-        {"id": "short", "title": "Short", "text": " ".join(f"y{i}" for i in range(40))},
-    ]
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    return path
-
-
-def test_cmd_index_counts_documents_and_passages(tmp_path, capsys):
-    config = load_config(
-        write_config(
-            tmp_path / "run.yaml",
-            corpus=small_corpus(tmp_path),
-            questions=tmp_path / "none.jsonl",
-            out=tmp_path / "out",
-        )
-    )
-    stats = cmd_index(config)
-    assert (stats.num_documents, stats.num_passages) == (3, 5)
-    assert "indexed 3 documents into 5 passages" in capsys.readouterr().out
-    snapshot = json.loads((tmp_path / "out" / "index.json").read_text(encoding="utf-8"))
-    assert snapshot["num_passages"] == 5
-    assert len(snapshot["passages"]) == 5
-
-
-def test_cmd_index_rebuild_is_byte_identical(tmp_path):
-    config = load_config(
-        write_config(tmp_path / "run.yaml", corpus=small_corpus(tmp_path), out=tmp_path / "out")
-    )
-    cmd_index(config)
-    first = (tmp_path / "out" / "index.json").read_bytes()
-    cmd_index(config)
-    assert (tmp_path / "out" / "index.json").read_bytes() == first
-
-
-def test_cmd_index_empty_corpus_is_an_error(tmp_path):
-    empty = tmp_path / "corpus.jsonl"
-    empty.write_text("", encoding="utf-8")
-    config = load_config(write_config(tmp_path / "run.yaml", corpus=empty, out=tmp_path / "out"))
-    with pytest.raises(ValueError, match="empty passage list"):
-        cmd_index(config)
 
 
 def filter_setup(tmp_path, responses: dict[str, str], questions: list[dict]) -> RunConfig:
@@ -376,9 +329,52 @@ def test_main_runs_subcommands(tmp_path, capsys):
         tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat"
     )
     assert main(["run", "--config", str(config_path)]) == 0
-    assert main(["index", "--config", str(config_path)]) == 0
     assert main(["report", str(tmp_path / "out")]) == 0
+    with pytest.raises(SystemExit) as exited:
+        main(["index", "--config", str(config_path)])
+    assert exited.value.code == 2
     capsys.readouterr()
+
+
+def test_crashed_run_keeps_the_completed_rows_and_a_failed_manifest(tmp_path, capsys):
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text(
+        "".join(
+            json.dumps({"id": qid, "question": text, "answers": ["Paris"]}) + "\n"
+            for qid, text in (("q1", "where is the tower"), ("q2", "where is the bridge"))
+        ),
+        encoding="utf-8",
+    )
+    # responses for every exchange of q1 and none for q2
+    keys = ["concat", "pf:0", "pf:1", "pf:2", "pruning", "summary", "distill"]
+    script = tmp_path / "script.jsonl"
+    script.write_text(
+        "".join(
+            json.dumps({"question_id": "q1", "exchange_key": key, "response": "Paris"}) + "\n"
+            for key in keys
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    config_path = write_config(
+        tmp_path / "run.yaml",
+        questions=questions,
+        backend="script",
+        script=script,
+        out=out,
+        strategies="all",
+    )
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "failed"
+    assert "'q2'" in manifest["error"]
+    for name in ("traces.jsonl", "records.jsonl"):
+        rows = [json.loads(line) for line in (out / name).read_text().splitlines()]
+        assert [row["question_id"] for row in rows] == ["q1"] * 6
+    tokens = (out / "tokens.csv").read_text(encoding="utf-8").splitlines()
+    assert tokens[0] == "strategy,question_id,calls,prompt_tokens,completion_tokens"
+    assert [row.split(",")[1] for row in tokens[1:]] == ["q1"] * 6
 
 
 def test_main_reports_errors_with_exit_code_2(tmp_path, capsys):

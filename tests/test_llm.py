@@ -107,6 +107,32 @@ def test_rule_client_rejects_unregistered_question():
         client.complete(CompletionRequest(prompt_text=render_concatenation(PASSAGES, other)))
 
 
+def test_rule_client_answers_each_question_against_its_own_gold():
+    # q1 and q2 share their text; the request's question id decides the gold.
+    first = make_question("q1", "who built it", ("alice",))
+    second = make_question("q2", "who built it", ("bob",))
+    client = RuleClient([first, second])
+    passages = [make_passage("a#0", "bob and alice built the tower together")]
+    prompt = render_concatenation(passages, first)
+    for question, gold in ((first, "alice"), (second, "bob")):
+        request = CompletionRequest(prompt_text=prompt, question_id=question.question_id)
+        assert client.complete(request).text == gold
+    with pytest.raises(RuleError, match="not registered"):
+        client.complete(CompletionRequest(prompt_text=prompt, question_id="q3"))
+
+
+def test_rule_client_rejects_shared_text_without_an_id():
+    first = make_question("q1", "who built it", ("alice",))
+    twin = make_question("q1b", "who built it", ("alice",))
+    passages = [make_passage("a#0", "bob and alice built the tower together")]
+    request = CompletionRequest(prompt_text=render_concatenation(passages, first))
+    # a text shared with the same gold answers is still unambiguous
+    assert RuleClient([first, twin]).complete(request).text == "alice"
+    second = make_question("q2", "who built it", ("bob",))
+    with pytest.raises(RuleError, match="shared by different gold answers"):
+        RuleClient([first, second]).complete(request)
+
+
 def test_rule_client_rejects_prompt_without_question():
     with pytest.raises(RuleError, match="question"):
         rule_client().complete(CompletionRequest(prompt_text="no structure here"))
@@ -338,9 +364,29 @@ def test_response_cache_skips_transport_on_hit(tmp_path):
 
 
 def test_response_cache_keys_on_model_and_prompt():
-    assert ResponseCache.key_for("m1", "p") != ResponseCache.key_for("m2", "p")
-    assert ResponseCache.key_for("m1", "p") != ResponseCache.key_for("m1", "q")
-    assert ResponseCache.key_for("m1", "p") == ResponseCache.key_for("m1", "p")
+    def payload(model: str, prompt: str) -> dict:
+        return {
+            "model": model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": 0.0,
+            "max_tokens": 64,
+        }
+
+    key_for = ResponseCache.key_for
+    assert key_for(payload("m1", "p")) != key_for(payload("m2", "p"))
+    assert key_for(payload("m1", "p")) != key_for(payload("m1", "q"))
+    assert key_for(payload("m1", "p")) == key_for(payload("m1", "p"))
+
+
+def test_response_cache_keys_on_max_response_tokens(tmp_path):
+    cache = ResponseCache(tmp_path / "cache.jsonl")
+    long_client, long_calls, _ = live_client([(200, ok_body("a long answer"))], cache=cache)
+    short_client, short_calls, _ = live_client([(200, ok_body("short"))], cache=cache)
+    long = long_client.complete(CompletionRequest(prompt_text="p", max_response_tokens=64))
+    short = short_client.complete(CompletionRequest(prompt_text="p", max_response_tokens=5))
+    assert (len(long_calls), len(short_calls)) == (1, 1)
+    assert (long.text, short.text) == ("a long answer", "short")
+    assert short_calls[0]["max_tokens"] == 5
 
 
 def test_response_cache_put_is_idempotent(tmp_path):
