@@ -10,7 +10,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -77,6 +77,29 @@ def parse_strategies(value: object) -> list[Strategy]:
             valid = ", ".join(s.value for s in Strategy)
             raise ValueError(f"unknown strategy {name!r} (valid: {valid}, or 'all')") from None
     return parsed
+
+
+def _value_types(hint: object) -> tuple[type, ...]:
+    """The parsed JSON or YAML value types that fill a field with this type
+    hint: a path is written as a string and an int is a valid float."""
+    if get_origin(hint) is list:
+        return (list,)
+    if get_args(hint):
+        return tuple(t for arg in get_args(hint) for t in _value_types(arg))
+    if hint is Path:
+        return (str,)
+    if hint is float:
+        return (int, float)
+    return (hint,)
+
+
+def _fits(value: object, types: tuple[type, ...]) -> bool:
+    """isinstance, except that a bool is no number and a list holds strings."""
+    if isinstance(value, bool) and bool not in types:
+        return False
+    if isinstance(value, list) and not all(isinstance(item, str) for item in value):
+        return False
+    return isinstance(value, types)
 
 
 @dataclass
@@ -159,21 +182,29 @@ class RunConfig:
             raise ValueError(f"nm_denominator must be 'pool' or 'all', got {self.nm_denominator!r}")
 
 
+_CONFIG_TYPES = {name: _value_types(hint) for name, hint in get_type_hints(RunConfig).items()}
+# Strategies may also be named by "all" or a comma-separated string.
+_CONFIG_TYPES["strategies"] += (str,)
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Read a YAML mapping into a RunConfig; unknown keys are rejected."""
+    """Read a YAML mapping into a RunConfig; unknown keys and values of the
+    wrong type are rejected."""
     path = Path(path)
     raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a key-value mapping")
-    known = {f.name for f in fields(RunConfig)}
     config = RunConfig()
     for key, value in raw.items():
-        if key not in known:
+        if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        if not _fits(value, _CONFIG_TYPES[key]):
+            raise ValueError(
+                f"{path}: config key {key!r} has the wrong type "
+                f"({type(value).__name__} {value!r})"
+            )
         if key == "strategies":
             value = parse_strategies(value)
-        elif key == "unknown_patterns":
-            value = [str(item) for item in value]
         elif key in _PATH_FIELDS and value is not None:
             value = Path(value)
         setattr(config, key, value)
@@ -233,13 +264,9 @@ def question_to_dict(question: Question) -> dict:
 
 
 # Row layouts of the artifacts, taken once from the dataclasses. Records read
-# back are checked against the field types, where an int is a valid float
-# because JSON has one number type.
+# back are checked against the field types.
 _TRACE_FIELDS = tuple(f.name for f in fields(StrategyTrace))
-_RECORD_TYPES = {
-    name: (int, float) if hint is float else hint
-    for name, hint in get_type_hints(EvalRecord).items()
-}
+_RECORD_TYPES = {name: _value_types(hint) for name, hint in get_type_hints(EvalRecord).items()}
 _REPORT_COLUMNS = tuple(f.name for f in fields(StrategyReport))
 
 
@@ -385,6 +412,9 @@ def _run_single(config: RunConfig) -> EvalReport:
 
     def work(question: Question) -> list[tuple[StrategyTrace, EvalRecord]]:
         selected = _passages_for_question(question, index, rankings, by_id, retrieval)
+        # One memo per question: its strategies repeat each other's requests.
+        # The whole question runs on one thread, so the memo needs no lock.
+        memo: dict = {}
         results = []
         for strategy in config.strategies:
             trace = run_strategy(
@@ -394,12 +424,14 @@ def _run_single(config: RunConfig) -> EvalReport:
                 client,
                 policy=policy,
                 max_response_tokens=config.max_response_tokens,
+                memo=memo,
             )
             results.append((trace, score_trace(trace, question)))
         return results
 
     config.out.mkdir(parents=True, exist_ok=True)
     all_records: list[EvalRecord] = []
+    attributed_calls = 0
     status, error_text = "complete", None
     executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     with (
@@ -414,6 +446,7 @@ def _run_single(config: RunConfig) -> EvalReport:
             for per_question in results:
                 for trace, record in per_question:
                     all_records.append(record)
+                    attributed_calls += len(trace.exchanges)
                     traces_file.write(_json_line(trace_to_dict(trace)))
                     records_file.write(_json_line(record_to_dict(record)))
                     tokens.writerow(
@@ -432,7 +465,22 @@ def _run_single(config: RunConfig) -> EvalReport:
             _write_run_outputs(config, report, len(questions), status, error_text)
     print(f"placement={config.placement} backend={config.backend} k={config.k}")
     print(format_report(report))
-    print(f"usage: {client.ledger.snapshot()}")
+    # Billed: what reached the client. Attributed: what the traces record,
+    # memo hits included.
+    attributed = {
+        "calls": attributed_calls,
+        "prompt_tokens": sum(record.prompt_tokens_total for record in all_records),
+        "completion_tokens": sum(record.completion_tokens_total for record in all_records),
+    }
+    usages = (("billed", client.ledger.snapshot()), ("attributed", attributed))
+    print(
+        "usage: "
+        + "; ".join(
+            f"{name} calls={usage['calls']} prompt_tokens={usage['prompt_tokens']} "
+            f"completion_tokens={usage['completion_tokens']}"
+            for name, usage in usages
+        )
+    )
     print(f"wrote {config.out}")
     return report
 
@@ -511,7 +559,7 @@ def cmd_report(records_path: Path, nm_denominator: str = "pool") -> EvalReport:
             for name, types in _RECORD_TYPES.items():
                 if name not in row:
                     raise ValueError(f"{path}:{lineno}: missing field {name!r}")
-                if not isinstance(row[name], types):
+                if not _fits(row[name], types):
                     raise ValueError(f"{path}:{lineno}: field {name!r} has the wrong type")
             records.append(EvalRecord(**{name: row[name] for name in _RECORD_TYPES}))
     report = aggregate(records, nm_denominator)

@@ -96,6 +96,7 @@ def run_strategy(
     client: CompletionClient,
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
+    memo: dict[CompletionRequest, CompletionResponse] | None = None,
 ) -> StrategyTrace:
     """Run one strategy on one question's passages.
 
@@ -104,10 +105,20 @@ def run_strategy(
     passage closed by a majority vote (post_fusion). concat_pf makes the
     concat call and falls back to the round on Unknown; pf_concat runs the
     round, then distills the surviving answers in one more call.
+
+    A request found in ``memo`` is answered from it without calling the
+    client, and every response the client returns is added to it. Passing
+    one memo to all strategies of a question sends each distinct request
+    once: concat_pf repeats the concat request, and concat_pf and pf_concat
+    repeat post_fusion's per-passage requests. The whole request, question
+    id and exchange key included, is the key. The trace records every
+    exchange, memo hits too, so its tokens are attributed, not billed.
     """
     if not passages:
         raise ValueError("strategy needs at least one passage")
     passages = list(passages)
+    if memo is None:
+        memo = {}
     sentinel = policy.sentinel
     exchanges: list[Exchange] = []
 
@@ -118,11 +129,14 @@ def run_strategy(
             question_id=question.question_id,
             exchange_key=exchange_key or kind.value,
         )
-        try:
-            response = client.complete(request)
-        except Exception as exc:
-            exc.args = (f"question {question.question_id} ({request.exchange_key}): {exc}",)
-            raise
+        response = memo.get(request)
+        if response is None:
+            try:
+                response = client.complete(request)
+            except Exception as exc:
+                exc.args = (f"question {question.question_id} ({request.exchange_key}): {exc}",)
+                raise
+            memo[request] = response
         exchanges.append(Exchange(kind, request.exchange_key, request, response))
         return classify_response(response.text, policy)
 

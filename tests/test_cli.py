@@ -18,7 +18,7 @@ from ragfuse.cli import (
     main,
     parse_strategies,
 )
-from ragfuse.llm import RuleClient, ScriptClient
+from ragfuse.llm import RuleClient, ScriptClient, count_tokens
 from ragfuse.strategies import Strategy
 
 
@@ -44,6 +44,30 @@ def test_load_config_reads_types_and_rejects_unknown_keys(tmp_path):
     bad.write_text("- just\n- a list\n", encoding="utf-8")
     with pytest.raises(ValueError, match="mapping"):
         load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k", "5"),
+        ("workers", "2"),
+        ("max_response_tokens", "7"),
+        ("strategies", 5),
+        ("unknown_patterns", 3),
+        ("seed", "x"),
+    ],
+)
+def test_main_rejects_a_wrongly_typed_config_value(tmp_path, capsys, key, value):
+    config_path = write_config(tmp_path / "run.yaml", out=tmp_path / "out", **{key: value})
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config_path}: config key {key!r} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_config_takes_an_int_for_a_float_and_null_for_an_optional_path(tmp_path):
+    path = write_config(tmp_path / "run.yaml", bm25_k1=2, rankings=None, timeout=5)
+    config = load_config(path)
+    assert (config.bm25_k1, config.rankings, config.timeout) == (2, None, 5)
 
 
 def test_overrides_apply_only_given_flags(tmp_path):
@@ -204,6 +228,27 @@ def test_cmd_run_is_deterministic_across_workers(tmp_path):
     assert (tmp_path / "a" / "traces.jsonl").read_bytes() == (
         tmp_path / "b" / "traces.jsonl"
     ).read_bytes()
+
+
+def test_toy_run_bills_each_distinct_exchange_once(tmp_path, capsys, monkeypatch):
+    billed = []
+    respond = RuleClient._respond
+    monkeypatch.setattr(
+        RuleClient, "_respond", lambda self, request: billed.append(request) or respond(self, request)
+    )
+    config_path = write_config(tmp_path / "run.yaml", out=tmp_path / "out", strategies="all")
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert len(billed) == 133
+    assert sum(count_tokens(request.prompt_text) for request in billed) == 22793
+    usage = [line for line in capsys.readouterr().out.splitlines() if line.startswith("usage:")]
+    assert usage == [
+        "usage: billed calls=133 prompt_tokens=22793 completion_tokens=175; "
+        "attributed calls=234 prompt_tokens=33653 completion_tokens=294"
+    ]
+    rows = (tmp_path / "out" / "tokens.csv").read_text(encoding="utf-8").splitlines()[1:]
+    columns = list(zip(*(row.split(",") for row in rows)))
+    assert sum(map(int, columns[2])) == 234
+    assert sum(map(int, columns[3])) == 33653
 
 
 def test_cmd_run_sweep_produces_one_row_per_mode(tmp_path):

@@ -1,10 +1,13 @@
 """Tests for the six strategy pipelines and the majority-vote reducer."""
 
+import json
+
 import pytest
 
 from conftest import make_passage, make_question
-from ragfuse.llm import RuleClient, ScriptClient, ScriptError
+from ragfuse.llm import LiveClient, RuleClient, ScriptClient, ScriptError
 from ragfuse.prompts import UNKNOWN, Answer, PromptKind, extract_task
+from ragfuse.retriever import retrieve_top_k
 from ragfuse.strategies import (
     Strategy,
     majority_vote,
@@ -256,6 +259,13 @@ def test_errors_name_the_question_and_exchange():
     client = ScriptClient({})
     with pytest.raises(ScriptError, match=r"question q1 \(concat\)"):
         run_concatenation(PASSAGES, QUESTION, client)
+    # after a memo hit, a failing call still names its exchange and is not memoized
+    client = script_for({"concat": "unknown", "pf:0": "x"})
+    memo = {}
+    run_concatenation(PASSAGES, QUESTION, client, memo=memo)
+    with pytest.raises(ScriptError, match=r"question q1 \(pf:1\)"):
+        run_concat_pf(PASSAGES, QUESTION, client, memo=memo)
+    assert sorted(request.exchange_key for request in memo) == ["concat", "pf:0"]
 
 
 def test_run_strategy_dispatches_every_member():
@@ -270,3 +280,49 @@ def test_max_response_tokens_reaches_requests():
     client = RuleClient([QUESTION])
     trace = run_concatenation(PASSAGES, QUESTION, client, max_response_tokens=7)
     assert trace.exchanges[0].request.max_response_tokens == 7
+
+
+def test_a_shared_memo_leaves_every_toy_trace_unchanged(toy_questions, toy_passages, toy_index):
+    by_id = {p.passage_id: p for p in toy_passages}
+    for question in toy_questions:
+        ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
+        passages = [by_id[pid] for pid in ranked.passage_ids()]
+        client = RuleClient(toy_questions)
+        memo = {}
+        shared = [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
+        fresh = [run_strategy(s, passages, question, RuleClient(toy_questions)) for s in Strategy]
+        assert shared == fresh
+        # each distinct request reached the client once
+        requests = {e.request for trace in shared for e in trace.exchanges}
+        assert client.ledger.calls == len(memo) == len(requests)
+
+
+def test_a_shared_memo_replays_a_script_without_extra_entries():
+    entries = {"concat": "unknown", "pruning": "p", "summary": "s", "distill": "x"}
+    entries.update({f"pf:{i}": "x" for i in range(len(PASSAGES))})
+    client = script_for(entries)
+    memo = {}
+    shared = [run_strategy(s, PASSAGES, QUESTION, client, memo=memo) for s in Strategy]
+    assert shared == [run_strategy(s, PASSAGES, QUESTION, script_for(entries)) for s in Strategy]
+    assert client.ledger.calls == len(entries)
+
+
+@pytest.mark.parametrize("reply, distill", [("unknown", 0), ("Paris", 1)])
+def test_a_shared_memo_sends_each_distinct_live_payload_once(reply, distill):
+    payloads = []
+
+    def transport(payload):
+        payloads.append(json.dumps(payload, sort_keys=True))
+        return 200, {"choices": [{"message": {"content": reply}}]}
+
+    client = LiveClient(
+        endpoint="http://example.invalid/v1/chat/completions",
+        model="test-model",
+        transport=transport,
+        cache=None,
+    )
+    memo = {}
+    for strategy in Strategy:
+        run_strategy(strategy, PASSAGES, QUESTION, client, memo=memo)
+    # concat, pruning, summary, one call per passage, and the distill if any
+    assert len(payloads) == len(set(payloads)) == len(PASSAGES) + 3 + distill
