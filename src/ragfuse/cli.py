@@ -178,6 +178,8 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.max_response_tokens < 1:
             raise ValueError("max_response_tokens must be >= 1")
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.nm_denominator not in ("pool", "all"):
             raise ValueError(f"nm_denominator must be 'pool' or 'all', got {self.nm_denominator!r}")
 

@@ -118,10 +118,14 @@ def load_questions(path: str | Path) -> list[Question]:
     seen: set[str] = set()
     for lineno, record in _read_jsonl(path):
         question_id = str(_require(record, "id", path, lineno))
-        text = str(_require(record, "question", path, lineno))
+        text = _require(record, "question", path, lineno)
+        if text is None or not str(text).strip():
+            raise CorpusError(f"{path}:{lineno}: question text is blank")
         answers = _require(record, "answers", path, lineno)
         if not isinstance(answers, list) or not answers:
             raise CorpusError(f"{path}:{lineno}: answers must be a non-empty list")
+        if any(a is None or not str(a).strip() for a in answers):
+            raise CorpusError(f"{path}:{lineno}: an answer is null or blank")
         if question_id in seen:
             raise CorpusError(f"{path}:{lineno}: duplicate question id {question_id!r}")
         seen.add(question_id)
@@ -129,7 +133,7 @@ def load_questions(path: str | Path) -> list[Question]:
         questions.append(
             Question(
                 question_id=question_id,
-                text=text,
+                text=str(text),
                 gold_answers=tuple(str(a) for a in answers),
                 gold_passage_id=None if gold_passage_id is None else str(gold_passage_id),
             )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import Passage, Question
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 
 class PlacementMode(str, Enum):
@@ -63,22 +63,28 @@ class RankedList:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric characters."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    """Lowercase, then take the maximal runs of ASCII letters and digits."""
+    return _TOKEN.findall(text.lower())
 
 
 class Bm25Index:
-    """Immutable impact-scored inverted index over passages with Okapi BM25.
+    """Immutable inverted index over passages with Okapi BM25, weighed lazily.
 
     Only passage text is indexed; titles do not participate in scoring.
 
-    Each posting stores its BM25 term weight, computed once at build time.
-    A query costs the postings of its own terms, plus O(M log k) to pick the
-    top k of the M passages they touch with a k-sized heap, not a score for
-    every one of the N passages and an O(N log N) sort. ``impacts`` maps a
-    term to two parallel arrays: slots (positions in the sorted
-    ``passage_ids``) and weights. ``lengths`` and ``doc_freq`` are the other
-    build statistics kept; ``term_freqs`` is re-derived from passage text.
+    The build only tokenizes and records postings: one append per token to
+    the term's occurrence array, which holds the slot (position in the
+    sorted ``passage_ids``) of every occurrence in slot order, so a slot
+    appears tf times. That is 4 bytes per token occurrence. A term's BM25
+    weights are computed the first time a query uses it, then cached as two
+    parallel arrays, slots and weights; terms no query uses are never
+    weighed. A query costs the postings of its own terms, plus O(M log k) to
+    pick the top k of the M passages they touch with a k-sized heap.
+
+    ``lengths`` is kept from the build; ``doc_freq`` and ``term_freqs`` are
+    re-derived on each access. With several worker threads, two may weigh
+    the same term at once: both compute identical arrays and a dict store is
+    atomic, so no lock is needed.
     """
 
     def __init__(self, passages: list[Passage], k1: float = 1.2, b: float = 0.75):
@@ -96,36 +102,28 @@ class Bm25Index:
         self.passage_ids = sorted(self.passages)
         self.num_passages = len(self.passage_ids)
         slot_lengths: list[int] = []
-        # term -> [slot, tf, slot, tf, ...]; one list per term keeps the
-        # tokenize pass to one lookup and two appends per posting.
-        tf_postings: defaultdict[str, list[int]] = defaultdict(list)
+        occurrences: defaultdict[str, array] = defaultdict(lambda: array("i"))
         for slot, pid in enumerate(self.passage_ids):
             tokens = tokenize(self.passages[pid].text)
             slot_lengths.append(len(tokens))
-            for term, tf in Counter(tokens).items():
-                posting = tf_postings[term]
-                posting.append(slot)
-                posting.append(tf)
+            for term in tokens:
+                occurrences[term].append(slot)
+        self._occurrences = dict(occurrences)
         self.lengths = dict(zip(self.passage_ids, slot_lengths))
         self.avg_length = sum(slot_lengths) / self.num_passages
-        self.doc_freq = {term: len(posting) // 2 for term, posting in tf_postings.items()}
-        # k1 * length_norm is the scorer's own subexpression, so each stored
-        # weight is bitwise the term's contribution in the BM25 formula.
-        k1_norms: list[float] = []
+        # k1 * length_norm is the scorer's own subexpression, so each weight
+        # is bitwise the term's contribution in the BM25 formula.
+        self._k1_norms: list[float] = []
         if self.avg_length:  # a corpus without a single token has no postings
-            k1_norms = [k1 * (1.0 - b + b * length / self.avg_length) for length in slot_lengths]
-        self.impacts: dict[str, tuple[array, array]] = {}
-        # Popping frees each term's build list as its arrays are made, so
-        # peak memory stays near the size of the build lists.
-        while tf_postings:
-            term, posting = tf_postings.popitem()
-            slots = posting[0::2]
-            idf = self.idf(term)
-            weights = [
-                idf * tf * (k1 + 1.0) / (tf + k1_norms[slot])
-                for slot, tf in zip(slots, posting[1::2])
+            self._k1_norms = [
+                k1 * (1.0 - b + b * length / self.avg_length) for length in slot_lengths
             ]
-            self.impacts[term] = (array("i", slots), array("d", weights))
+        self._weights: dict[str, tuple[array, array]] = {}
+
+    @property
+    def doc_freq(self) -> dict[str, int]:
+        """Passages containing each term, re-derived from the postings on each access."""
+        return {term: len(set(slots)) for term, slots in self._occurrences.items()}
 
     @property
     def term_freqs(self) -> dict[str, Counter[str]]:
@@ -133,8 +131,26 @@ class Bm25Index:
         return {pid: Counter(tokenize(self.passages[pid].text)) for pid in self.passage_ids}
 
     def idf(self, term: str) -> float:
-        df = self.doc_freq.get(term, 0)
+        return self._idf(len(set(self._occurrences.get(term, ()))))
+
+    def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.num_passages - df + 0.5) / (df + 0.5))
+
+    def _posting(self, term: str) -> tuple[array, array] | None:
+        """The term's (slots, weights) arrays, weighed on first use; None if unindexed."""
+        posting = self._weights.get(term)
+        if posting is None:
+            slots = self._occurrences.get(term)
+            if slots is None:
+                return None
+            tfs = Counter(slots)  # slot -> tf, in ascending slot order
+            idf = self._idf(len(tfs))
+            k1 = self.k1
+            k1_norms = self._k1_norms
+            weights = [idf * tf * (k1 + 1.0) / (tf + k1_norms[slot]) for slot, tf in tfs.items()]
+            posting = (array("i", tfs), array("d", weights))
+            self._weights[term] = posting
+        return posting
 
     def slot_scores(self, query: str) -> dict[int, float]:
         """BM25 score of every passage sharing a term with the query, by slot.
@@ -146,7 +162,7 @@ class Bm25Index:
         totals: dict[int, float] = {}
         get = totals.get
         for term in tokenize(query):
-            posting = self.impacts.get(term)
+            posting = self._posting(term)
             if posting is None:
                 continue
             for slot, weight in zip(*posting):
@@ -258,11 +274,15 @@ def load_rankings(path: str | Path) -> dict[str, list[str]]:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: record is not an object")
             for key in ("question_id", "ranked_passage_ids"):
                 if key not in record:
                     raise ValueError(f"{path}:{lineno}: missing field {key!r}")
             qid = str(record["question_id"])
-            ids = [str(p) for p in record["ranked_passage_ids"]]
+            ids = record["ranked_passage_ids"]
+            if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
+                raise ValueError(f"{path}:{lineno}: ranked_passage_ids must be a list of strings")
             if qid in rankings:
                 raise ValueError(f"{path}:{lineno}: duplicate question_id {qid!r}")
             rankings[qid] = ids

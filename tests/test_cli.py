@@ -114,6 +114,11 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
     with pytest.raises(ValueError, match="nm_denominator"):
         config.validate("run")
     config.nm_denominator = "pool"
+    for timeout in (0, -1.0):
+        config.timeout = timeout
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            config.validate("run")
+    config.timeout = 60.0
     config.corpus = tmp_path / "missing.jsonl"
     with pytest.raises(ValueError, match="corpus file not found"):
         config.validate("run")
@@ -301,6 +306,37 @@ def test_main_rejects_empty_precomputed_ranking_under_gold_placement(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "non-empty ranking" in err
+
+
+def run_with_rankings(tmp_path, rows: list) -> int:
+    rankings = tmp_path / "rankings.jsonl"
+    rankings.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", rankings=rankings
+    )
+    return main(["run", "--config", str(config_path)])
+
+
+def test_main_rejects_a_ranking_that_is_not_a_list(tmp_path, capsys):
+    # A bare number used to end in a TypeError traceback.
+    assert run_with_rankings(tmp_path, [{"question_id": "q1", "ranked_passage_ids": 5}]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "rankings.jsonl:1: ranked_passage_ids must be a list of strings" in err
+
+
+def test_main_rejects_a_ranking_with_a_non_string_id(tmp_path, capsys):
+    # A string used to be split into one-character ids.
+    for ids in ("abc", ["mount-carvel#0", 7]):
+        assert run_with_rankings(tmp_path, [{"question_id": "q1", "ranked_passage_ids": ids}]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "rankings.jsonl:1: ranked_passage_ids must be a list of strings" in err
+
+
+def test_main_rejects_a_rankings_row_that_is_not_an_object(tmp_path, capsys):
+    assert run_with_rankings(tmp_path, [5]) == 2
+    assert "rankings.jsonl:1: record is not an object" in capsys.readouterr().err
 
 
 def test_cmd_report_reproduces_run_aggregates(tmp_path, capsys):

@@ -109,6 +109,23 @@ def test_load_questions_empty_answers_rejected(tmp_path):
         load_questions(path)
 
 
+@pytest.mark.parametrize("answers", ["[null]", '["Paris", "  "]', '[""]'])
+def test_load_questions_null_or_blank_answer_rejected(tmp_path, answers):
+    # A null answer used to become the gold alias "None".
+    path = tmp_path / "questions.jsonl"
+    path.write_text(f'{{"id": "q1", "question": "x", "answers": {answers}}}\n', encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"questions.jsonl:1: an answer is null or blank"):
+        load_questions(path)
+
+
+@pytest.mark.parametrize("text", ['""', '" \\t"', "null"])
+def test_load_questions_blank_question_text_rejected(tmp_path, text):
+    path = tmp_path / "questions.jsonl"
+    path.write_text(f'{{"id": "q1", "question": {text}, "answers": ["y"]}}\n', encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"questions.jsonl:1: question text is blank"):
+        load_questions(path)
+
+
 def test_load_questions_empty_file(tmp_path):
     path = tmp_path / "questions.jsonl"
     path.write_text("", encoding="utf-8")

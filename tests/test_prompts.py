@@ -202,6 +202,40 @@ def test_classify_never_returns_empty_text(text):
     assert answer.is_unknown or answer.text
 
 
+PADDING = st.text(" \t", max_size=3)
+PREAMBLE = st.one_of(st.just(""), st.text(max_size=40).map(lambda text: text + "\n"))
+
+
+@given(
+    case=st.lists(st.booleans(), min_size=len("unknown"), max_size=len("unknown")),
+    before=PADDING,
+    after=st.text(" \t\n", max_size=3),
+    punctuation=st.text(".!?,;:\u2026", max_size=3),
+    prefix=st.sampled_from(["", "Answer:", "answer: ", "ANSWER:  "]),
+    preamble=PREAMBLE,
+)
+def test_classify_sentinel_survives_case_padding_punctuation_and_preamble(
+    case, before, after, punctuation, prefix, preamble
+):
+    sentinel = "".join(c.upper() if up else c for c, up in zip("unknown", case))
+    text = f"{preamble}{before}{prefix}{sentinel}{punctuation}{after}"
+    assert classify_response(text).is_unknown
+
+
+@given(
+    line=st.text("abcdefgh 0123.,'-", min_size=1, max_size=30).filter(
+        lambda line: any(c.isalnum() for c in line)
+    ),
+    before=PADDING,
+    after=PADDING,
+    preamble=PREAMBLE,
+)
+def test_classify_takes_a_non_sentinel_last_line_as_the_answer(line, before, after, preamble):
+    # The alphabet cannot spell the sentinel or an "Answer:" prefix.
+    answer = classify_response(f"{preamble}{before}{line}{after}")
+    assert answer == Answer.of(line.strip())
+
+
 def test_unknown_policy_requires_sentinel():
     with pytest.raises(ValueError):
         UnknownPolicy(sentinel="")

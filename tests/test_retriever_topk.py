@@ -1,5 +1,9 @@
 """Top-k retrieval and gold placement edge cases, checked against the oracles."""
 
+import re
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from ragfuse.retriever import (
     build_index,
     ranked_list_from_ids,
     retrieve_top_k,
+    tokenize,
 )
 
 SIX = [
@@ -115,6 +120,60 @@ def corpus_and_query(draw):
 def test_topk_and_scores_match_oracle_on_random_corpora(case):
     passages, query, k = case
     assert_matches_oracle(passages, query, k)
+
+
+def score_bits(index, query: str) -> dict[int, str]:
+    return {slot: score.hex() for slot, score in index.slot_scores(query).items()}
+
+
+@given(
+    corpus_and_query(),
+    st.lists(st.lists(st.sampled_from(WORDS + ["unseen"]), max_size=4).map(" ".join), max_size=4),
+)
+def test_scores_do_not_depend_on_which_terms_were_weighed_first(case, earlier_queries):
+    passages, query, _ = case
+    warm = build_index(passages)
+    for earlier in earlier_queries:
+        warm.slot_scores(earlier)
+    assert score_bits(warm, query) == score_bits(build_index(passages), query)
+
+
+def test_threads_racing_the_first_use_of_a_term_get_the_single_threaded_scores():
+    passages = [
+        make_passage(f"p{i:04d}", " ".join(WORDS[(i * j) % len(WORDS)] for j in range(i % 9 + 1)))
+        for i in range(2000)
+    ]
+    queries = ["alpha beta", "gamma alpha delta", "eps eps beta", "delta"]
+    expected = [score_bits(build_index(passages), q) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = build_index(passages)
+            start = threading.Barrier(4)
+            results: dict[int, list] = {}
+
+            def work(worker: int) -> None:
+                start.wait(timeout=10)
+                # Each worker meets the terms in its own order.
+                order = queries[worker:] + queries[:worker]
+                results[worker] = [score_bits(shared, q) for q in order]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == {w: expected[w:] + expected[:w] for w in range(4)}
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@given(st.text())
+def test_tokenize_equals_split_and_filter(text):
+    split = [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]
+    assert tokenize(text) == split
 
 
 def placement_config(mode: PlacementMode, k: int = 3) -> RetrievalConfig:
