@@ -10,7 +10,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 import yaml
 
@@ -18,9 +18,12 @@ from .corpus import (
     CorpusError,
     Passage,
     Question,
+    _fits,
+    _value_types,
     chunk_corpus,
     load_corpus,
     load_questions,
+    read_rows,
 )
 from .evaluation import (
     EvalRecord,
@@ -58,7 +61,6 @@ from .strategies import Exchange, Strategy, StrategyTrace, run_strategy
 _BACKENDS = ("rule", "script", "live")
 _SWEEP = "sweep"
 _SWEEP_MODES = (PlacementMode.RETRIEVAL_ORDER, PlacementMode.GOLD_TOP, PlacementMode.GOLD_BOTTOM)
-_PATH_FIELDS = {"corpus", "questions", "rankings", "script", "out", "cache"}
 
 
 def parse_strategies(value: object) -> list[Strategy]:
@@ -77,29 +79,6 @@ def parse_strategies(value: object) -> list[Strategy]:
             valid = ", ".join(s.value for s in Strategy)
             raise ValueError(f"unknown strategy {name!r} (valid: {valid}, or 'all')") from None
     return parsed
-
-
-def _value_types(hint: object) -> tuple[type, ...]:
-    """The parsed JSON or YAML value types that fill a field with this type
-    hint: a path is written as a string and an int is a valid float."""
-    if get_origin(hint) is list:
-        return (list,)
-    if get_args(hint):
-        return tuple(t for arg in get_args(hint) for t in _value_types(arg))
-    if hint is Path:
-        return (str,)
-    if hint is float:
-        return (int, float)
-    return (hint,)
-
-
-def _fits(value: object, types: tuple[type, ...]) -> bool:
-    """isinstance, except that a bool is no number and a list holds strings."""
-    if isinstance(value, bool) and bool not in types:
-        return False
-    if isinstance(value, list) and not all(isinstance(item, str) for item in value):
-        return False
-    return isinstance(value, types)
 
 
 @dataclass
@@ -184,16 +163,24 @@ class RunConfig:
             raise ValueError(f"nm_denominator must be 'pool' or 'all', got {self.nm_denominator!r}")
 
 
-_CONFIG_TYPES = {name: _value_types(hint) for name, hint in get_type_hints(RunConfig).items()}
+_CONFIG_HINTS = get_type_hints(RunConfig)
+_CONFIG_TYPES = {name: _value_types(hint) for name, hint in _CONFIG_HINTS.items()}
 # Strategies may also be named by "all" or a comma-separated string.
 _CONFIG_TYPES["strategies"] += (str,)
+_PATH_FIELDS = {name for name, hint in _CONFIG_HINTS.items() if Path in (hint, *get_args(hint))}
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a YAML mapping into a RunConfig; unknown keys and values of the
     wrong type are rejected."""
     path = Path(path)
-    raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    try:
+        raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        detail = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ValueError(f"{path}: invalid YAML ({detail}{at})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a key-value mapping")
     config = RunConfig()
@@ -225,7 +212,7 @@ def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is None:
             continue
-        setattr(config, name, Path(value) if name in _PATH_FIELDS else value)
+        setattr(config, name, value)
     raw_strategies = getattr(args, "strategies", None)
     if raw_strategies is not None:
         config.strategies = parse_strategies(raw_strategies)
@@ -547,23 +534,10 @@ def cmd_report(records_path: Path, nm_denominator: str = "pool") -> EvalReport:
     path = records_path / "records.jsonl" if records_path.is_dir() else records_path
     if not path.exists():
         raise ValueError(f"records file not found: {path}")
-    records: list[EvalRecord] = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(row, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            for name, types in _RECORD_TYPES.items():
-                if name not in row:
-                    raise ValueError(f"{path}:{lineno}: missing field {name!r}")
-                if not _fits(row[name], types):
-                    raise ValueError(f"{path}:{lineno}: field {name!r} has the wrong type")
-            records.append(EvalRecord(**{name: row[name] for name in _RECORD_TYPES}))
+    records = [
+        EvalRecord(**{name: row[name] for name in _RECORD_TYPES})
+        for _, row in read_rows(path, _RECORD_TYPES)
+    ]
     report = aggregate(records, nm_denominator)
     print(format_report(report))
     return report

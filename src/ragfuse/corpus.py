@@ -1,14 +1,15 @@
-"""Corpus loading and fixed-size passage chunking."""
+"""Typed JSONL input rows, corpus and question loading, passage chunking."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Mapping, get_args, get_origin
 
 
 class CorpusError(ValueError):
-    """Raised for malformed corpus or question files."""
+    """Raised for a malformed input file or row."""
 
 
 @dataclass(frozen=True)
@@ -72,42 +73,78 @@ def chunk_corpus(documents: list[Document], max_words: int) -> list[Passage]:
     return passages
 
 
-def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """Read a JSON-lines file, returning (line_number, record) pairs."""
-    rows = []
-    with Path(path).open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}:{lineno}: record is not an object")
-            rows.append((lineno, record))
-    return rows
+def _value_types(hint: object) -> tuple[type, ...]:
+    """The parsed JSON or YAML value types that fill a field with this type
+    hint: a path is written as a string and an int is a valid float."""
+    if get_origin(hint) is list:
+        return (list,)
+    if get_args(hint):
+        return tuple(t for arg in get_args(hint) for t in _value_types(arg))
+    if hint is Path:
+        return (str,)
+    if hint is float:
+        return (int, float)
+    return (hint,)
 
 
-def _require(record: dict, key: str, path: str | Path, lineno: int) -> object:
-    if key not in record:
-        raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
-    return record[key]
+def _fits(value: object, types: tuple[type, ...]) -> bool:
+    """isinstance, except that a bool is no number and a list holds strings."""
+    if isinstance(value, bool) and bool not in types:
+        return False
+    if isinstance(value, list) and not all(isinstance(item, str) for item in value):
+        return False
+    return isinstance(value, types)
+
+
+# Row types: field name -> the JSON value types it takes.
+RowTypes = Mapping[str, tuple[type, ...]]
+
+
+def check_row(line: bytes, types: RowTypes, where: str, optional: tuple[str, ...] = ()) -> dict:
+    """Parse one JSONL line into an object holding every field of types,
+    each of its type; only the optional fields may be absent. Faults raise
+    CorpusError prefixed by where."""
+    try:
+        row = json.loads(line)
+    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
+        raise CorpusError(f"{where}: invalid JSON ({e})") from e
+    if not isinstance(row, dict):
+        raise CorpusError(f"{where}: record is not an object")
+    for name, allowed in types.items():
+        if name not in row:
+            if name not in optional:
+                raise CorpusError(f"{where}: missing field {name!r}")
+        elif not _fits(row[name], allowed):
+            raise CorpusError(f"{where}: field {name!r} has the wrong type")
+    return row
+
+
+def read_rows(
+    path: str | Path, types: RowTypes, optional: tuple[str, ...] = ()
+) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, checked row) for each non-blank line of a JSONL file."""
+    with Path(path).open("rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip():
+                yield lineno, check_row(line, types, f"{path}:{lineno}", optional)
+
+
+_STR = (str,)
+_DOCUMENT_ROW = {"id": _STR, "title": _STR, "text": _STR}
+_QUESTION_ROW = {
+    "id": _STR, "question": _STR, "answers": (list,), "gold_passage_id": (str, type(None))
+}
 
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Load documents from a JSONL file with fields {id, title, text}."""
     documents = []
     seen: set[str] = set()
-    for lineno, record in _read_jsonl(path):
-        doc_id = str(_require(record, "id", path, lineno))
-        title = str(_require(record, "title", path, lineno))
-        text = str(_require(record, "text", path, lineno))
-        if doc_id in seen:
-            raise CorpusError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-        seen.add(doc_id)
-        documents.append(Document(doc_id=doc_id, title=title, body=text))
+    for lineno, row in read_rows(path, _DOCUMENT_ROW):
+        if row["id"] in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate document id {row['id']!r}")
+        seen.add(row["id"])
+        documents.append(Document(doc_id=row["id"], title=row["title"], body=row["text"]))
     return documents
 
 
@@ -116,26 +153,17 @@ def load_questions(path: str | Path) -> list[Question]:
     {id, question, answers: [string], gold_passage_id?}."""
     questions = []
     seen: set[str] = set()
-    for lineno, record in _read_jsonl(path):
-        question_id = str(_require(record, "id", path, lineno))
-        text = _require(record, "question", path, lineno)
-        if text is None or not str(text).strip():
+    for lineno, row in read_rows(path, _QUESTION_ROW, optional=("gold_passage_id",)):
+        if not row["question"].strip():
             raise CorpusError(f"{path}:{lineno}: question text is blank")
-        answers = _require(record, "answers", path, lineno)
-        if not isinstance(answers, list) or not answers:
+        if not row["answers"]:
             raise CorpusError(f"{path}:{lineno}: answers must be a non-empty list")
-        if any(a is None or not str(a).strip() for a in answers):
-            raise CorpusError(f"{path}:{lineno}: an answer is null or blank")
-        if question_id in seen:
-            raise CorpusError(f"{path}:{lineno}: duplicate question id {question_id!r}")
-        seen.add(question_id)
-        gold_passage_id = record.get("gold_passage_id")
+        if not all(answer.strip() for answer in row["answers"]):
+            raise CorpusError(f"{path}:{lineno}: an answer is blank")
+        if row["id"] in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate question id {row['id']!r}")
+        seen.add(row["id"])
         questions.append(
-            Question(
-                question_id=question_id,
-                text=str(text),
-                gold_answers=tuple(str(a) for a in answers),
-                gold_passage_id=None if gold_passage_id is None else str(gold_passage_id),
-            )
+            Question(row["id"], row["question"], tuple(row["answers"]), row.get("gold_passage_id"))
         )
     return questions

@@ -11,7 +11,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .corpus import CorpusError, Question
+from .corpus import CorpusError, Question, check_row, read_rows
 from .prompts import DEFAULT_SENTINEL, extract_task
 
 
@@ -193,29 +193,22 @@ class ScriptClient(CompletionClient):
         return self._script[key], None, None
 
 
+_SCRIPT_ROW = dict.fromkeys(("question_id", "exchange_key", "response"), (str,))
+
+
 def load_script(path: str | Path) -> dict[tuple[str, str], str]:
     """Load a response script from JSONL rows of
     {question_id, exchange_key, response}."""
     script: dict[tuple[str, str], str] = {}
-    path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            for key in ("question_id", "exchange_key", "response"):
-                if key not in record:
-                    raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
-            pair = (str(record["question_id"]), str(record["exchange_key"]))
-            if pair in script:
-                raise CorpusError(
-                    f"{path}:{lineno}: duplicate script entry for {pair!r}"
-                )
-            script[pair] = str(record["response"])
+    for lineno, row in read_rows(path, _SCRIPT_ROW):
+        pair = (row["question_id"], row["exchange_key"])
+        if pair in script:
+            raise CorpusError(f"{path}:{lineno}: duplicate script entry for {pair!r}")
+        script[pair] = row["response"]
     return script
+
+
+_CACHE_ROW = {"key": (str,), "text": (str,), "prompt_tokens": (int,), "completion_tokens": (int,)}
 
 
 class ResponseCache:
@@ -224,7 +217,7 @@ class ResponseCache:
     Lets an interrupted live run resume without re-billing completed calls.
     An unterminated final line is what an interrupted append leaves behind:
     it is skipped on load and cut off before the next append. Any other
-    unreadable line is corruption and raises ValueError naming path:line.
+    unreadable line is corruption and raises CorpusError naming path:line.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -241,19 +234,12 @@ class ResponseCache:
                     self._torn_at = size
                     break
                 size += len(line)
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    self._entries[record["key"]] = (
-                        record["text"],
-                        int(record["prompt_tokens"]),
-                        int(record["completion_tokens"]),
+                if line.strip():
+                    where = f"{self.path}:{lineno}: unreadable cache entry"
+                    row = check_row(line, _CACHE_ROW, where)
+                    self._entries[row["key"]] = (
+                        row["text"], row["prompt_tokens"], row["completion_tokens"]
                     )
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: unreadable cache entry ({exc})"
-                    ) from exc
 
     @staticmethod
     def key_for(payload: dict) -> str:

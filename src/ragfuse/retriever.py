@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 import re
@@ -13,7 +12,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Passage, Question
+from .corpus import CorpusError, Passage, Question, read_rows
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -258,6 +257,9 @@ def apply_gold_placement(
     return replace(ranked, entries=tuple(entries), gold_inserted=True)
 
 
+_RANKING_ROW = {"question_id": (str,), "ranked_passage_ids": (list,)}
+
+
 def load_rankings(path: str | Path) -> dict[str, list[str]]:
     """Load precomputed rankings (e.g. DPR output) keyed by question id.
 
@@ -265,27 +267,11 @@ def load_rankings(path: str | Path) -> dict[str, list[str]]:
     {question_id, ranked_passage_ids: [string]}.
     """
     rankings: dict[str, list[str]] = {}
-    with Path(path).open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: record is not an object")
-            for key in ("question_id", "ranked_passage_ids"):
-                if key not in record:
-                    raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-            qid = str(record["question_id"])
-            ids = record["ranked_passage_ids"]
-            if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
-                raise ValueError(f"{path}:{lineno}: ranked_passage_ids must be a list of strings")
-            if qid in rankings:
-                raise ValueError(f"{path}:{lineno}: duplicate question_id {qid!r}")
-            rankings[qid] = ids
+    for lineno, row in read_rows(path, _RANKING_ROW):
+        qid = row["question_id"]
+        if qid in rankings:
+            raise CorpusError(f"{path}:{lineno}: duplicate question_id {qid!r}")
+        rankings[qid] = row["ranked_passage_ids"]
     return rankings
 
 

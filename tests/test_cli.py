@@ -1,11 +1,18 @@
 """Tests for config loading, overrides, and the three CLI subcommands."""
 
 import json
+import tempfile
+import threading
+from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ragfuse.cli as cli
+import ragfuse.llm as llm
 from conftest import FIXTURES, write_config
 from ragfuse.cli import (
     RunConfig,
@@ -18,7 +25,8 @@ from ragfuse.cli import (
     main,
     parse_strategies,
 )
-from ragfuse.llm import RuleClient, ScriptClient, count_tokens
+from ragfuse.corpus import load_questions
+from ragfuse.llm import CompletionRequest, ResponseCache, RuleClient, ScriptClient, count_tokens
 from ragfuse.strategies import Strategy
 
 
@@ -62,6 +70,26 @@ def test_main_rejects_a_wrongly_typed_config_value(tmp_path, capsys, key, value)
     assert main(["run", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {config_path}: config key {key!r} ")
     assert not (tmp_path / "out").exists()
+
+
+def test_main_rejects_malformed_yaml(tmp_path, capsys):
+    # Used to end in a yaml.parser.ParserError traceback.
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text("k: [\n", encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config_path}: invalid YAML "
+        "(expected the node content, but found '<stream end>' at line 2, column 1)\n"
+    )
+
+
+def test_every_path_field_loads_and_overrides_as_a_path(tmp_path):
+    names = ("corpus", "questions", "out", "rankings", "script", "cache")
+    paths = {name: tmp_path / f"{name}.jsonl" for name in names}
+    config = load_config(write_config(tmp_path / "run.yaml", **paths))
+    assert {name: getattr(config, name) for name in names} == paths
+    args = cli._build_parser().parse_args(["run", "--config", "x", "--out", "elsewhere"])
+    assert apply_overrides(config, args).out == Path("elsewhere")
 
 
 def test_load_config_takes_an_int_for_a_float_and_null_for_an_optional_path(tmp_path):
@@ -322,7 +350,7 @@ def test_main_rejects_a_ranking_that_is_not_a_list(tmp_path, capsys):
     assert run_with_rankings(tmp_path, [{"question_id": "q1", "ranked_passage_ids": 5}]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "rankings.jsonl:1: ranked_passage_ids must be a list of strings" in err
+    assert "rankings.jsonl:1: field 'ranked_passage_ids' has the wrong type" in err
 
 
 def test_main_rejects_a_ranking_with_a_non_string_id(tmp_path, capsys):
@@ -331,7 +359,7 @@ def test_main_rejects_a_ranking_with_a_non_string_id(tmp_path, capsys):
         assert run_with_rankings(tmp_path, [{"question_id": "q1", "ranked_passage_ids": ids}]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "rankings.jsonl:1: ranked_passage_ids must be a list of strings" in err
+        assert "rankings.jsonl:1: field 'ranked_passage_ids' has the wrong type" in err
 
 
 def test_main_rejects_a_rankings_row_that_is_not_an_object(tmp_path, capsys):
@@ -369,7 +397,7 @@ def test_main_rejects_malformed_records_rows(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     bad_rows = {
         '{"question_id": "q1", "strategy": "concat"}': "missing field 'em'",
-        "[1, 2]": "expected a JSON object",
+        "[1, 2]": "record is not an object",
         good.replace('"em": 1', '"em": "1"').replace('"em": 0', '"em": "0"'): "field 'em'",
     }
     for bad, message in bad_rows.items():
@@ -395,6 +423,126 @@ def test_main_rejects_a_corrupt_response_cache(tmp_path, capsys):
     )
     assert main(["run", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {cache}:1: unreadable cache entry")
+
+
+_LIVE = {"backend": "live", "endpoint": "http://127.0.0.1:9/v1/chat/completions", "model": "m"}
+
+
+@pytest.mark.parametrize(
+    "name, row, message",
+    [
+        ("corpus", {"id": "d1", "title": None, "text": "a"}, "field 'title' has the wrong type"),
+        ("corpus", {"id": "d1", "title": "t", "text": None}, "field 'text' has the wrong type"),
+        ("corpus", {"id": None, "title": "t", "text": "a"}, "field 'id' has the wrong type"),
+        ("corpus", {"id": 1, "title": "t", "text": "a"}, "field 'id' has the wrong type"),
+        (
+            "questions",
+            {"id": None, "question": "q", "answers": ["a"]},
+            "field 'id' has the wrong type",
+        ),
+        (
+            "questions",
+            {"id": 1, "question": "q", "answers": ["a"]},
+            "field 'id' has the wrong type",
+        ),
+        ("script", 5, "record is not an object"),
+        ("script", "s", "record is not an object"),
+        (
+            "script",
+            {"question_id": "q1", "exchange_key": "concat", "response": None},
+            "field 'response' has the wrong type",
+        ),
+        (
+            "rankings",
+            {"question_id": None, "ranked_passage_ids": ["d#0"]},
+            "field 'question_id' has the wrong type",
+        ),
+        (
+            "cache",
+            {"key": "k", "text": None, "prompt_tokens": 1, "completion_tokens": 1},
+            "unreadable cache entry: field 'text' has the wrong type",
+        ),
+        (
+            "cache",
+            {"key": "k", "text": "t", "prompt_tokens": "12", "completion_tokens": 1},
+            "unreadable cache entry: field 'prompt_tokens' has the wrong type",
+        ),
+        (
+            "cache",
+            {"key": "k", "text": "t", "prompt_tokens": 1, "completion_tokens": "12"},
+            "unreadable cache entry: field 'completion_tokens' has the wrong type",
+        ),
+    ],
+)
+def test_main_rejects_a_mistyped_input_row(tmp_path, capsys, name, row, message):
+    # A str() or int() coercion used to load each of these, or a traceback ended the run.
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    backend = {"script": {"backend": "script"}, "cache": _LIVE}.get(name, {})
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", **backend, **{name: path}
+    )
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: {message}\n"
+
+
+class FlakyEndpoint:
+    """Fake live transport answering with the rule backend; once it has
+    answered fail_after requests it refuses every later one with HTTP 400."""
+
+    def __init__(self, fail_after: int | None = None) -> None:
+        self.fail_after = fail_after
+        self.answered: list[str] = []
+        self._rule = RuleClient(load_questions(FIXTURES / "toy_questions.jsonl"))
+        self._lock = threading.Lock()
+
+    def __call__(self, payload: dict) -> tuple[int, dict]:
+        with self._lock:
+            if self.fail_after is not None and len(self.answered) >= self.fail_after:
+                return 400, {}
+            self.answered.append(ResponseCache.key_for(payload))
+        prompt = payload["messages"][0]["content"]
+        text = self._rule.complete(CompletionRequest(prompt_text=prompt)).text
+        return 200, {"choices": [{"message": {"content": text}}]}
+
+
+def live_run(root: Path, endpoint: FlakyEndpoint, workers: int, out: str) -> int:
+    config_path = write_config(
+        root / "run.yaml", out=root / out, strategies="all", cache=root / "cache.jsonl",
+        workers=workers, **_LIVE,
+    )
+    with mock.patch.object(llm, "_requests_transport", lambda *args: endpoint):
+        code = main(["run", "--config", str(config_path)])
+    # A failed run returns while its other workers finish their questions.
+    for thread in threading.enumerate():
+        if thread.name.startswith("ThreadPoolExecutor"):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    return code
+
+
+@cache
+def uninterrupted_live_run() -> tuple[tuple[str, ...], bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        endpoint = FlakyEndpoint()
+        assert live_run(Path(tmp), endpoint, 1, "out") == 0
+        return tuple(endpoint.answered), (Path(tmp) / "out" / "records.jsonl").read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(fail_after=st.integers(min_value=0, max_value=140), workers=st.sampled_from([1, 2]))
+def test_resumed_live_run_sends_each_distinct_payload_once(fail_after, workers):
+    full, records = uninterrupted_live_run()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        first, resumed = FlakyEndpoint(fail_after), FlakyEndpoint()
+        interrupted = fail_after < len(full)
+        assert live_run(root, first, workers, "first") == (2 if interrupted else 0)
+        assert live_run(root, resumed, workers, "resumed") == 0
+        sent = first.answered + resumed.answered
+        assert len(first.answered) == min(fail_after, len(full))
+        assert sorted(sent) == sorted(full)
+        assert (root / "resumed" / "records.jsonl").read_bytes() == records
 
 
 def test_format_report_has_one_line_per_strategy(tmp_path):

@@ -89,6 +89,10 @@ def test_load_corpus_invalid_json_names_line(tmp_path):
     path.write_text('{"id": "d1"\n', encoding="utf-8")
     with pytest.raises(CorpusError, match=r":1: invalid JSON"):
         load_corpus(path)
+    # Nesting past the decoder's recursion limit used to end in a traceback.
+    path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r":1: invalid JSON \(maximum recursion depth"):
+        load_corpus(path)
 
 
 def test_load_questions_keeps_alias_list(tmp_path):
@@ -114,7 +118,8 @@ def test_load_questions_null_or_blank_answer_rejected(tmp_path, answers):
     # A null answer used to become the gold alias "None".
     path = tmp_path / "questions.jsonl"
     path.write_text(f'{{"id": "q1", "question": "x", "answers": {answers}}}\n', encoding="utf-8")
-    with pytest.raises(CorpusError, match=r"questions.jsonl:1: an answer is null or blank"):
+    message = "field 'answers' has the wrong type" if answers == "[null]" else "an answer is blank"
+    with pytest.raises(CorpusError, match=rf"questions.jsonl:1: {message}"):
         load_questions(path)
 
 
@@ -122,7 +127,8 @@ def test_load_questions_null_or_blank_answer_rejected(tmp_path, answers):
 def test_load_questions_blank_question_text_rejected(tmp_path, text):
     path = tmp_path / "questions.jsonl"
     path.write_text(f'{{"id": "q1", "question": {text}, "answers": ["y"]}}\n', encoding="utf-8")
-    with pytest.raises(CorpusError, match=r"questions.jsonl:1: question text is blank"):
+    message = "field 'question' has the wrong type" if text == "null" else "question text is blank"
+    with pytest.raises(CorpusError, match=rf"questions.jsonl:1: {message}"):
         load_questions(path)
 
 
