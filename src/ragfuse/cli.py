@@ -401,7 +401,7 @@ def _run_single(config: RunConfig) -> EvalReport:
 
     def work(question: Question) -> list[tuple[StrategyTrace, EvalRecord]]:
         selected = _passages_for_question(question, index, rankings, by_id, retrieval)
-        # One memo per question: its strategies repeat each other's requests.
+        # One memo per question: its strategies repeat each other's calls.
         # The whole question runs on one thread, so the memo needs no lock.
         memo: dict = {}
         results = []
@@ -447,7 +447,9 @@ def _run_single(config: RunConfig) -> EvalReport:
             raise
         finally:
             if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
+                # Queued questions never start; running ones finish, so no worker
+                # still bills the endpoint or appends to the cache after return.
+                executor.shutdown(wait=True, cancel_futures=True)
             # Written even on failure so a crashed run leaves a partial
             # manifest next to whatever rows completed.
             report = aggregate(all_records, config.nm_denominator)

@@ -275,22 +275,44 @@ Transport = Callable[[dict], tuple[int, dict]]
 _RETRY_DELAYS = (1.0, 2.0, 4.0)
 
 
-def _requests_transport(endpoint: str, api_key: str | None, timeout: float) -> Transport:
-    import requests
+def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Transport:
+    """POST each payload through urllib.request, which takes proxies from the
+    HTTP(S)_PROXY/NO_PROXY environment. Raises ValueError unless endpoint is
+    an http(s) URL with a host, which also keeps urlopen's file: and ftp:
+    handlers out of reach."""
+    # Imported here so that runs on the offline backends do not pay for it.
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
+    parts = urllib.parse.urlsplit(endpoint)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint must be an http:// or https:// URL with a host: {endpoint!r}")
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
 
     def send(payload: dict) -> tuple[int, dict]:
-        headers = {"Content-Type": "application/json"}
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        request = urllib.request.Request(
+            endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+        )
         try:
-            reply = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            try:
+                with urllib.request.urlopen(request, timeout=timeout) as reply:
+                    status, raw = reply.status, reply.read()
+            except urllib.error.HTTPError as exc:
+                # An error status is still a reply; LiveClient decides on retries.
+                with exc:
+                    status, raw = exc.code, exc.read()
+        # HTTPException (a bad status line, a cut-off body) is not an OSError.
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request to {endpoint} failed: {exc}") from exc
         try:
-            body = reply.json()
+            body = json.loads(raw)
         except ValueError:
             body = {}
-        return reply.status_code, body
+        return status, body
 
     return send
 
@@ -298,9 +320,12 @@ def _requests_transport(endpoint: str, api_key: str | None, timeout: float) -> T
 class LiveClient(CompletionClient):
     """Client for an OpenAI-compatible chat completions endpoint.
 
+    Without an injected transport, calls go through urllib.request (the
+    standard library), with proxies taken from the environment; endpoint
+    must then be an http:// or https:// URL with a host, else ValueError.
     Retries transient failures (transport errors, HTTP 429 and 5xx) three
     times with 1s/2s/4s backoff; other HTTP statuses fail immediately. At
-    most max_in_flight requests run concurrently.
+    most max_in_flight calls run concurrently.
     """
 
     backend = Backend.LIVE
@@ -322,7 +347,7 @@ class LiveClient(CompletionClient):
             raise ValueError("max_in_flight must be at least 1")
         self.model = model
         self.cache = cache
-        self._transport = transport or _requests_transport(endpoint, api_key, timeout)
+        self._transport = transport or _http_transport(endpoint, api_key, timeout)
         self._sleep = sleep
         self._gate = threading.Semaphore(max_in_flight)
 

@@ -110,7 +110,7 @@ def run_strategy(
     client, and every response the client returns is added to it. Passing
     one memo to all strategies of a question sends each distinct request
     once: concat_pf repeats the concat request, and concat_pf and pf_concat
-    repeat post_fusion's per-passage requests. The whole request, question
+    repeat post_fusion's per-passage calls. The whole request, question
     id and exchange key included, is the key. The trace records every
     exchange, memo hits too, so its tokens are attributed, not billed.
     """

@@ -511,13 +511,10 @@ def live_run(root: Path, endpoint: FlakyEndpoint, workers: int, out: str) -> int
         root / "run.yaml", out=root / out, strategies="all", cache=root / "cache.jsonl",
         workers=workers, **_LIVE,
     )
-    with mock.patch.object(llm, "_requests_transport", lambda *args: endpoint):
+    with mock.patch.object(llm, "_http_transport", lambda *args: endpoint):
         code = main(["run", "--config", str(config_path)])
-    # A failed run returns while its other workers finish their questions.
-    for thread in threading.enumerate():
-        if thread.name.startswith("ThreadPoolExecutor"):
-            thread.join(timeout=10)
-            assert not thread.is_alive()
+    # A failed run returns only once its other workers have finished.
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
     return code
 
 
@@ -613,6 +610,23 @@ def test_main_reports_errors_with_exit_code_2(tmp_path, capsys):
     assert err.startswith("error:")
     assert "model input budget" in err
     assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["localhost:8000/v1", "http:///v1/chat/completions", "file:///etc/hosts", "ftp://h/x"]
+)
+def test_live_run_rejects_a_non_http_endpoint_before_any_request(tmp_path, capsys, endpoint):
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat",
+        **{**_LIVE, "endpoint": endpoint},
+    )
+    refuse = mock.patch.object(llm.LiveClient, "_send_with_retries", side_effect=AssertionError)
+    with refuse as sent:
+        assert main(["run", "--config", str(config_path)]) == 2
+    assert not sent.called and not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == (
+        f"error: endpoint must be an http:// or https:// URL with a host: {endpoint!r}\n"
+    )
 
 
 def test_main_override_flags_reach_the_run(tmp_path):

@@ -1,11 +1,19 @@
 """Tests for the completion clients, token accounting, retries, and caching."""
 
+import http.server
+import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import ragfuse
 from conftest import make_passage, make_question
 from ragfuse.llm import (
     Backend,
@@ -341,6 +349,140 @@ def test_live_client_enforces_max_in_flight():
     assert max(seen) <= 2
     with pytest.raises(ValueError):
         LiveClient(endpoint="e", model="m", max_in_flight=0, transport=transport)
+
+
+# ---------------------------------------------------------------------------
+# Live client through its own HTTP transport, against a loopback server
+
+
+class _ReplayHandler(http.server.BaseHTTPRequestHandler):
+    """Answers the nth POST with the server's nth reply (the last one repeats):
+    a (status, body bytes) pair, "garbage" for an unparsable status line, or
+    "stall" for no reply until the server is released."""
+
+    def do_POST(self):
+        server = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.seen.append((self.headers.get("Authorization"), payload))
+            reply = server.replies[min(len(server.seen), len(server.replies)) - 1]
+        if reply == "stall":
+            server.released.wait(timeout=10)
+        elif reply == "garbage":
+            self.wfile.write(b"garbage\r\n\r\n")
+        else:
+            status, body = reply
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A loopback HTTP server on an ephemeral port; set .replies before use."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ReplayHandler)
+    server.daemon_threads = True
+    server.lock, server.seen, server.replies = threading.Lock(), [], []
+    server.released = threading.Event()
+    server.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.released.set()
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def http_client(url: str, **kwargs) -> tuple[LiveClient, list]:
+    sleeps: list[float] = []
+    return LiveClient(endpoint=url, model="test-model", sleep=sleeps.append, **kwargs), sleeps
+
+
+def json_reply(status: int, body: dict) -> tuple[int, bytes]:
+    return status, json.dumps(body).encode("utf-8")
+
+
+def test_http_transport_posts_the_payload_and_reads_provider_usage(endpoint):
+    usage = {"prompt_tokens": 41, "completion_tokens": 7}
+    endpoint.replies = [json_reply(200, ok_body("Paris", usage))]
+    for api_key in ("sk-test", None):
+        client, sleeps = http_client(endpoint.url, api_key=api_key)
+        response = client.complete(CompletionRequest(prompt_text="a b c", max_response_tokens=9))
+        assert (response.text, response.prompt_tokens, response.completion_tokens) == ("Paris", 41, 7)
+        assert sleeps == []
+    assert [auth for auth, _ in endpoint.seen] == ["Bearer sk-test", None]
+    assert endpoint.seen[0][1] == {
+        "model": "test-model",
+        "messages": [{"role": "user", "content": "a b c"}],
+        "temperature": 0.0,
+        "max_tokens": 9,
+    }
+
+
+def test_http_transport_client_error_fails_at_once(endpoint):
+    endpoint.replies = [json_reply(404, {"error": "no such model"})]
+    client, sleeps = http_client(endpoint.url)
+    with pytest.raises(TransportError, match="HTTP 404.*no such model"):
+        client.complete(CompletionRequest(prompt_text="x"))
+    assert len(endpoint.seen) == 1 and sleeps == []
+
+
+def test_http_transport_retries_a_server_error(endpoint):
+    endpoint.replies = [json_reply(503, {}), json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(endpoint.url)
+    assert client.complete(CompletionRequest(prompt_text="x")).text == "ok"
+    assert len(endpoint.seen) == 2 and sleeps == [1.0]
+
+
+def test_http_transport_non_json_body_is_malformed(endpoint):
+    endpoint.replies = [(200, b"<html>not json</html>")]
+    client, sleeps = http_client(endpoint.url)
+    with pytest.raises(TransportError, match="malformed"):
+        client.complete(CompletionRequest(prompt_text="x"))
+    assert len(endpoint.seen) == 1 and sleeps == []
+
+
+@pytest.mark.parametrize("failure", ["refused", "stall", "garbage"])
+def test_http_transport_failures_are_retried_then_reported(endpoint, failure):
+    url = endpoint.url
+    with socket.socket() as unlistened:
+        if failure == "refused":
+            # Bound but not listening: the kernel refuses every connection.
+            unlistened.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{unlistened.getsockname()[1]}/v1/chat/completions"
+        endpoint.replies = [failure]
+        client, sleeps = http_client(url, timeout=0.2)
+        with pytest.raises(TransportError, match="gave up after 4 attempts: request to"):
+            client.complete(CompletionRequest(prompt_text="x"))
+    assert sleeps == [1.0, 2.0, 4.0]
+    assert len(endpoint.seen) == (0 if failure == "refused" else 4)
+
+
+def test_live_client_sends_without_importing_requests(endpoint):
+    endpoint.replies = [json_reply(200, ok_body("Paris"))]
+    script = (
+        "import sys\n"
+        "from ragfuse.llm import CompletionRequest, LiveClient\n"
+        "client = LiveClient(endpoint=sys.argv[1], model='m')\n"
+        "print(client.complete(CompletionRequest(prompt_text='x')).text, 'requests' in sys.modules)\n"
+    )
+    src = str(Path(ragfuse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, endpoint.url],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Paris False\n"
+    assert len(endpoint.seen) == 1
 
 
 def test_response_cache_skips_transport_on_hit(tmp_path):
