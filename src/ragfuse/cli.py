@@ -74,10 +74,13 @@ def parse_strategies(value: object) -> list[Strategy]:
     parsed = []
     for name in names:
         try:
-            parsed.append(Strategy(name))
+            strategy = Strategy(name)
         except ValueError:
             valid = ", ".join(s.value for s in Strategy)
             raise ValueError(f"unknown strategy {name!r} (valid: {valid}, or 'all')") from None
+        if strategy in parsed:
+            raise ValueError(f"strategy {name!r} is listed twice")
+        parsed.append(strategy)
     return parsed
 
 
@@ -193,7 +196,10 @@ def load_config(path: str | Path) -> RunConfig:
                 f"({type(value).__name__} {value!r})"
             )
         if key == "strategies":
-            value = parse_strategies(value)
+            try:
+                value = parse_strategies(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         elif key in _PATH_FIELDS and value is not None:
             value = Path(value)
         setattr(config, key, value)
@@ -389,9 +395,10 @@ def _passages_for_question(
 
 def _run_single(config: RunConfig) -> EvalReport:
     """One complete run at a concrete placement mode; writes all artifacts."""
-    documents = load_corpus(config.corpus)
+    # Chunked as loaded: no Document outlives chunking, so the index build and
+    # the whole run hold only the passages.
+    passages = chunk_corpus(load_corpus(config.corpus), config.max_passage_words)
     questions = load_questions(config.questions)
-    passages = chunk_corpus(documents, config.max_passage_words)
     by_id = {p.passage_id: p for p in passages}
     rankings = load_rankings(config.rankings) if config.rankings is not None else None
     index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b) if rankings is None else None

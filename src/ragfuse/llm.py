@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
@@ -244,6 +243,9 @@ class ResponseCache:
     @staticmethod
     def key_for(payload: dict) -> str:
         """Hash of the payload as sent: every request parameter is in the key."""
+        # Imported here: hashlib maps OpenSSL, which only a cached live run needs.
+        import hashlib
+
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> tuple[str, int, int] | None:

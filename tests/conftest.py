@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import ragfuse
 from ragfuse.corpus import Passage, Question, chunk_corpus, load_corpus, load_questions
 from ragfuse.retriever import build_index
 
@@ -75,3 +79,12 @@ def write_config(path: Path, **fields) -> Path:
             config[key] = str(config[key])
     path.write_text(yaml.safe_dump(config), encoding="utf-8")
     return path
+
+
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports this checkout's ragfuse."""
+    src = str(Path(ragfuse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )

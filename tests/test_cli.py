@@ -1,8 +1,10 @@
 """Tests for config loading, overrides, and the three CLI subcommands."""
 
+import gc
 import json
 import tempfile
 import threading
+import weakref
 from functools import cache
 from pathlib import Path
 from unittest import mock
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import ragfuse.cli as cli
 import ragfuse.llm as llm
-from conftest import FIXTURES, write_config
+from conftest import FIXTURES, run_python, write_config
 from ragfuse.cli import (
     RunConfig,
     apply_overrides,
@@ -36,6 +38,22 @@ def test_parse_strategies_accepts_all_forms():
     assert parse_strategies(["summary"]) == [Strategy.SUMMARY]
     with pytest.raises(ValueError, match="unknown strategy"):
         parse_strategies("concat,banana")
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_main_rejects_a_strategy_listed_twice(tmp_path, capsys, source):
+    strategies = "concat,pruning,concat"
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out",
+        strategies=strategies.split(",") if source == "config" else "concat",
+    )
+    argv = ["run", "--config", str(config_path)]
+    if source == "flag":
+        argv += ["--strategies", strategies]
+    assert main(argv) == 2
+    where = f"{config_path}: " if source == "config" else ""
+    assert capsys.readouterr().err == f"error: {where}strategy 'concat' is listed twice\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_reads_types_and_rejects_unknown_keys(tmp_path):
@@ -248,6 +266,41 @@ def test_cmd_run_writes_all_artifacts(tmp_path):
     traces = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
     assert {t["strategy"] for t in traces} == {"concat", "post_fusion"}
     assert all(t["exchanges"] for t in traces)
+
+
+def test_no_document_is_alive_when_the_index_build_starts(tmp_path, monkeypatch):
+    loaded: list[weakref.ref] = []
+    built = []
+
+    def load_corpus(path):
+        documents = real_load_corpus(path)
+        loaded.extend(weakref.ref(doc) for doc in documents)
+        return documents
+
+    def build_index(passages, **kwargs):
+        gc.collect()
+        built.append(sum(ref() is not None for ref in loaded))
+        return real_build_index(passages, **kwargs)
+
+    real_load_corpus, real_build_index = cli.load_corpus, cli.build_index
+    monkeypatch.setattr(cli, "load_corpus", load_corpus)
+    monkeypatch.setattr(cli, "build_index", build_index)
+    cmd_run(run_config(tmp_path))
+    assert len(loaded) > 0
+    assert built == [0]
+
+
+def test_offline_run_loads_neither_openssl_nor_the_http_stack(tmp_path):
+    script = (
+        "import sys\n"
+        "from ragfuse.cli import main\n"
+        "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "heavy = ('hashlib', 'ssl', 'urllib.request', 'http.client')\n"
+        "print(code, [name for name in heavy if name in sys.modules])\n"
+    )
+    done = run_python(script, str(FIXTURES / "toy_config.yaml"), str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cmd_run_is_deterministic_across_workers(tmp_path):

@@ -2,19 +2,14 @@
 
 import http.server
 import json
-import os
 import socket
-import subprocess
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
-import ragfuse
-from conftest import make_passage, make_question
+from conftest import make_passage, make_question, run_python
 from ragfuse.llm import (
     Backend,
     BudgetError,
@@ -474,12 +469,7 @@ def test_live_client_sends_without_importing_requests(endpoint):
         "client = LiveClient(endpoint=sys.argv[1], model='m')\n"
         "print(client.complete(CompletionRequest(prompt_text='x')).text, 'requests' in sys.modules)\n"
     )
-    src = str(Path(ragfuse.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, endpoint.url],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    done = run_python(script, endpoint.url)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "Paris False\n"
     assert len(endpoint.seen) == 1
