@@ -26,6 +26,7 @@ from .corpus import (
     read_rows,
 )
 from .evaluation import (
+    NM_DENOMINATORS,
     EvalRecord,
     EvalReport,
     StrategyReport,
@@ -61,6 +62,7 @@ from .strategies import Exchange, Strategy, StrategyTrace, run_strategy
 _BACKENDS = ("rule", "script", "live")
 _SWEEP = "sweep"
 _SWEEP_MODES = (PlacementMode.RETRIEVAL_ORDER, PlacementMode.GOLD_TOP, PlacementMode.GOLD_BOTTOM)
+_PLACEMENTS = (*(mode.value for mode in PlacementMode), _SWEEP)
 
 
 def parse_strategies(value: object) -> list[Strategy]:
@@ -85,8 +87,9 @@ def parse_strategies(value: object) -> list[Strategy]:
 
 
 @dataclass
-class RunConfig:
-    """Everything one run needs; loadable from YAML with CLI flag overrides."""
+class RunConfig(RetrievalConfig):
+    """Everything one run needs; loadable from YAML with CLI flag overrides.
+    The retrieval settings are inherited; placement may also be "sweep"."""
 
     corpus: Path = Path("corpus.jsonl")
     questions: Path = Path("questions.jsonl")
@@ -95,13 +98,6 @@ class RunConfig:
     script: Path | None = None
     backend: str = "rule"
     strategies: list[Strategy] = field(default_factory=lambda: list(Strategy))
-    k: int = 5
-    max_passage_words: int = 100
-    model_input_budget: int = 4096
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
-    placement: str = PlacementMode.NO_GOLD.value
-    seed: int = 0
     unknown_sentinel: str = "unknown"
     unknown_patterns: list[str] = field(default_factory=list)
     max_response_tokens: int = 64
@@ -114,31 +110,15 @@ class RunConfig:
     max_in_flight: int = 4
     cache: Path | None = None
 
-    def retrieval(self, placement: str | None = None) -> RetrievalConfig:
-        mode = placement if placement is not None else self.placement
-        return RetrievalConfig(
-            k=self.k,
-            max_passage_words=self.max_passage_words,
-            model_input_budget=self.model_input_budget,
-            bm25_k1=self.bm25_k1,
-            bm25_b=self.bm25_b,
-            placement_mode=PlacementMode(mode),
-            rng_seed=self.seed,
-        )
-
     def policy(self) -> UnknownPolicy:
         return UnknownPolicy(
             sentinel=self.unknown_sentinel, extra_patterns=tuple(self.unknown_patterns)
         )
 
     def validate(self, command: str = "run") -> None:
-        placement_values = [m.value for m in PlacementMode] + [_SWEEP]
-        if self.placement not in placement_values:
-            raise ValueError(
-                f"placement must be one of {placement_values}, got {self.placement!r}"
-            )
-        first_mode = _SWEEP_MODES[0].value if self.placement == _SWEEP else self.placement
-        self.retrieval(first_mode).validate()
+        if self.placement not in _PLACEMENTS:
+            raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
+        super().validate()
         if command == "run" and not self.corpus.exists():
             raise ValueError(f"corpus file not found: {self.corpus}")
         if not self.questions.exists():
@@ -156,14 +136,17 @@ class RunConfig:
             raise ValueError("live backend needs both endpoint and model")
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.max_response_tokens < 1:
-            raise ValueError("max_response_tokens must be >= 1")
+        for name in ("workers", "max_response_tokens", "max_in_flight"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.nm_denominator not in ("pool", "all"):
-            raise ValueError(f"nm_denominator must be 'pool' or 'all', got {self.nm_denominator!r}")
+        if self.nm_denominator not in NM_DENOMINATORS:
+            raise ValueError(
+                f"nm_denominator must be one of {NM_DENOMINATORS}, got {self.nm_denominator!r}"
+            )
+        if not self.unknown_sentinel:
+            raise ValueError("unknown_sentinel must be non-empty")
 
 
 _CONFIG_HINTS = get_type_hints(RunConfig)
@@ -178,12 +161,14 @@ def load_config(path: str | Path) -> RunConfig:
     wrong type are rejected."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         detail = getattr(exc, "problem", None) or " ".join(str(exc).split())
         raise ValueError(f"{path}: invalid YAML ({detail}{at})") from exc
+    if raw is None:  # an empty or null document: every setting at its default
+        raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a key-value mapping")
     config = RunConfig()
@@ -206,22 +191,12 @@ def load_config(path: str | Path) -> RunConfig:
     return config
 
 
-_OVERRIDE_FLAGS = (
-    "out", "k", "seed", "backend", "placement", "workers", "nm_denominator",
-    "max_response_tokens",
-)
-
-
 def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """CLI flags that were actually given override config-file fields."""
-    for name in _OVERRIDE_FLAGS:
-        value = getattr(args, name, None)
-        if value is None:
+    """Every flag that was given and whose dest is a RunConfig field overrides it."""
+    for name, value in vars(args).items():
+        if name not in _CONFIG_TYPES or value is None:
             continue
-        setattr(config, name, value)
-    raw_strategies = getattr(args, "strategies", None)
-    if raw_strategies is not None:
-        config.strategies = parse_strategies(raw_strategies)
+        setattr(config, name, parse_strategies(value) if name == "strategies" else value)
     return config
 
 
@@ -369,19 +344,17 @@ def _passages_for_question(
     index: Bm25Index | None,
     rankings: dict[str, list[str]] | None,
     by_id: dict[str, Passage],
-    retrieval: RetrievalConfig,
+    config: RunConfig,
 ) -> list[Passage]:
     if rankings is not None:
         if question.question_id not in rankings:
             raise ValueError(f"no precomputed ranking for question {question.question_id!r}")
         ranked = ranked_list_from_ids(
-            question.question_id, rankings[question.question_id], retrieval.k
+            question.question_id, rankings[question.question_id], config.k
         )
     else:
-        ranked = retrieve_top_k(
-            index, question.text, retrieval.k, question_id=question.question_id
-        )
-    ranked = apply_gold_placement(ranked, question, retrieval)
+        ranked = retrieve_top_k(index, question.text, config.k, question_id=question.question_id)
+    ranked = apply_gold_placement(ranked, question, config)
     selected = []
     for pid in ranked.passage_ids():
         if pid not in by_id:
@@ -403,11 +376,10 @@ def _run_single(config: RunConfig) -> EvalReport:
     rankings = load_rankings(config.rankings) if config.rankings is not None else None
     index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b) if rankings is None else None
     client = make_client(config, questions)
-    retrieval = config.retrieval()
     policy = config.policy()
 
     def work(question: Question) -> list[tuple[StrategyTrace, EvalRecord]]:
-        selected = _passages_for_question(question, index, rankings, by_id, retrieval)
+        selected = _passages_for_question(question, index, rankings, by_id, config)
         # One memo per question: its strategies repeat each other's calls.
         # The whole question runs on one thread, so the memo needs no lock.
         memo: dict = {}
@@ -559,15 +531,11 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--k", type=int, help="number of passages override")
     shared.add_argument("--seed", type=int, help="rng seed override")
     shared.add_argument("--backend", choices=_BACKENDS, help="backend override")
-    shared.add_argument(
-        "--placement",
-        choices=[m.value for m in PlacementMode] + [_SWEEP],
-        help="gold placement mode override",
-    )
+    shared.add_argument("--placement", choices=_PLACEMENTS, help="gold placement mode override")
     shared.add_argument("--strategies", help="comma-separated strategy names, or 'all'")
     shared.add_argument("--workers", type=int, help="question-level worker count")
     shared.add_argument(
-        "--nm-denominator", dest="nm_denominator", choices=["pool", "all"],
+        "--nm-denominator", dest="nm_denominator", choices=NM_DENOMINATORS,
         help="no-match rate denominator",
     )
     shared.add_argument(
@@ -586,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report = commands.add_parser("report", help="recompute aggregates from stored records")
     report.add_argument("records", type=Path, help="run output directory or records.jsonl path")
     report.add_argument(
-        "--nm-denominator", dest="nm_denominator", choices=["pool", "all"], default="pool"
+        "--nm-denominator", dest="nm_denominator", choices=NM_DENOMINATORS, default="pool"
     )
     return parser
 

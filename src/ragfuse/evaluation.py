@@ -20,6 +20,8 @@ if TYPE_CHECKING:  # import only for type hints; avoids a module cycle
     from .strategies import StrategyTrace
 
 _ARTICLES = frozenset({"a", "an", "the"})
+# The no-match rate bases that aggregate accepts.
+NM_DENOMINATORS = ("pool", "all")
 
 
 def _is_punctuation(char: str) -> bool:
@@ -182,8 +184,10 @@ def aggregate(
     no-match base: "pool" counts only questions whose vote pool contained a
     gold answer, "all" counts every question of the strategy.
     """
-    if nm_denominator not in ("pool", "all"):
-        raise ValueError(f"nm_denominator must be 'pool' or 'all', got {nm_denominator!r}")
+    if nm_denominator not in NM_DENOMINATORS:
+        raise ValueError(
+            f"nm_denominator must be one of {NM_DENOMINATORS}, got {nm_denominator!r}"
+        )
     order: list[str] = []
     grouped: dict[str, list[EvalRecord]] = {}
     for record in records:

@@ -319,6 +319,22 @@ def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Trans
     return send
 
 
+def _completion_fields(body: object, status: int) -> tuple[str, int | None, int | None]:
+    """The reply text and the token counts the provider reports, None where it
+    reports none; TransportError if the body holds no usable reply."""
+    try:
+        text = body["choices"][0]["message"]["content"]
+        usage = body.get("usage")
+        usage = {} if usage is None else usage
+        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise TransportError(f"malformed completion body (status {status})") from exc
+    # bool is an int subclass, so a count's type is compared exactly.
+    if not isinstance(text, str) or any(n is not None and type(n) is not int for n in counts):
+        raise TransportError(f"malformed completion body (status {status})")
+    return text, *counts
+
+
 class LiveClient(CompletionClient):
     """Client for an OpenAI-compatible chat completions endpoint.
 
@@ -367,13 +383,7 @@ class LiveClient(CompletionClient):
             if hit is not None:
                 return hit
         status, body = self._send_with_retries(payload)
-        try:
-            text = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed completion body (status {status})") from exc
-        usage = body.get("usage") or {}
-        prompt_tokens = usage.get("prompt_tokens")
-        completion_tokens = usage.get("completion_tokens")
+        text, prompt_tokens, completion_tokens = _completion_fields(body, status)
         if cache_key is not None:
             self.cache.put(
                 cache_key,

@@ -25,15 +25,17 @@ class PlacementMode(str, Enum):
     NO_GOLD = "no_gold"
 
 
-@dataclass(frozen=True)
+@dataclass
 class RetrievalConfig:
+    """Retrieval and gold-placement settings; ``placement`` names a PlacementMode."""
+
     k: int = 5
     max_passage_words: int = 100
     model_input_budget: int = 4096
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
-    placement_mode: PlacementMode = PlacementMode.NO_GOLD
-    rng_seed: int = 0
+    placement: str = PlacementMode.NO_GOLD.value
+    seed: int = 0
 
     def validate(self) -> None:
         if self.k < 1:
@@ -216,7 +218,7 @@ def apply_gold_placement(
     scored them. An empty ranking has no position to place gold in, and is
     an error in every mode but no_gold.
     """
-    mode = config.placement_mode
+    mode = PlacementMode(config.placement)
     if mode is PlacementMode.NO_GOLD:
         return ranked
     gold_id = question.gold_passage_id
@@ -251,7 +253,7 @@ def apply_gold_placement(
     else:
         # RETRIEVAL_ORDER and GOLD_RANDOM insert at a seed-deterministic
         # uniform position; the per-question RNG keeps reruns identical.
-        rng = random.Random(f"{config.rng_seed}:{ranked.question_id}")
+        rng = random.Random(f"{config.seed}:{ranked.question_id}")
         position = rng.randrange(len(entries) + 1)
     entries.insert(position, (gold_id, 0.0))
     return replace(ranked, entries=tuple(entries), gold_inserted=True)

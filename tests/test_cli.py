@@ -5,6 +5,7 @@ import json
 import tempfile
 import threading
 import weakref
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 from unittest import mock
@@ -29,6 +30,7 @@ from ragfuse.cli import (
 )
 from ragfuse.corpus import load_questions
 from ragfuse.llm import CompletionRequest, ResponseCache, RuleClient, ScriptClient, count_tokens
+from ragfuse.retriever import RetrievalConfig, apply_gold_placement, retrieve_top_k
 from ragfuse.strategies import Strategy
 
 
@@ -101,6 +103,21 @@ def test_main_rejects_malformed_yaml(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("document", ["", "null\n", "~\n", "# only a comment\n"])
+def test_an_empty_or_null_config_document_means_every_default(tmp_path, document):
+    path = tmp_path / "run.yaml"
+    path.write_text(document, encoding="utf-8")
+    assert load_config(path) == RunConfig()
+
+
+@pytest.mark.parametrize("document", ["[]\n", "0\n", "false\n", '""\n', "just text\n"])
+def test_a_config_document_that_is_not_a_mapping_is_rejected(tmp_path, capsys, document):
+    path = tmp_path / "run.yaml"
+    path.write_text(document, encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: config must be a key-value mapping\n"
+
+
 def test_every_path_field_loads_and_overrides_as_a_path(tmp_path):
     names = ("corpus", "questions", "out", "rankings", "script", "cache")
     paths = {name: tmp_path / f"{name}.jsonl" for name in names}
@@ -125,6 +142,66 @@ def test_overrides_apply_only_given_flags(tmp_path):
     assert updated.strategies == [Strategy.CONCAT]
     assert updated.seed == 7  # untouched
     assert updated.backend == "rule"
+
+
+# Each flag's value on the command line and the field value it must set; every
+# one differs from the write_config default, so an ignored flag shows.
+_FLAG_VALUES = {
+    "out": ("elsewhere", Path("elsewhere")),
+    "k": ("4", 4),
+    "seed": ("11", 11),
+    "backend": ("script", "script"),
+    "placement": ("gold_top", "gold_top"),
+    "strategies": ("concat,summary", [Strategy.CONCAT, Strategy.SUMMARY]),
+    "workers": ("3", 3),
+    "nm_denominator": ("all", "all"),
+    "max_response_tokens": ("9", 9),
+}
+_FIELDS = {entry.name for entry in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("command", ["run", "filter"])
+def test_flags_not_given_leave_every_config_value(tmp_path, command):
+    path = write_config(tmp_path / "run.yaml", out=tmp_path / "out")
+    args = cli._build_parser().parse_args([command, "--config", "x"])
+    # The table above covers every flag whose dest is a config field.
+    assert {name for name in vars(args) if name in _FIELDS} == set(_FLAG_VALUES)
+    assert apply_overrides(load_config(path), args) == load_config(path)
+
+
+@pytest.mark.parametrize("command", ["run", "filter"])
+@pytest.mark.parametrize("name", sorted(_FLAG_VALUES))
+def test_each_flag_overrides_its_config_field_and_no_other(tmp_path, command, name):
+    path = write_config(tmp_path / "run.yaml", out=tmp_path / "out")
+    text, expected = _FLAG_VALUES[name]
+    flag = "--" + name.replace("_", "-")
+    args = cli._build_parser().parse_args([command, "--config", "x", flag, text])
+    before = load_config(path)
+    updated = apply_overrides(load_config(path), args)
+    assert getattr(updated, name) == expected != getattr(before, name)
+    assert replace(updated, **{name: getattr(before, name)}) == before
+
+
+def test_placement_and_seed_flags_reach_the_gold_placement(tmp_path, toy_index, toy_questions):
+    config_path = write_config(tmp_path / "run.yaml", strategies="concat")
+    orders = {}
+    for seed_flag in ([], ["--seed", "8"]):
+        out = tmp_path / f"out{len(orders)}"
+        argv = ["run", "--config", str(config_path), "--out", str(out), *seed_flag]
+        assert main([*argv, "--placement", "gold_random"]) == 0
+        rows = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
+        orders[tuple(seed_flag)] = {row["question_id"]: row["passage_ids"] for row in rows}
+    placement = RetrievalConfig(k=3, placement="gold_random", seed=7)
+    expected = {
+        q.question_id: apply_gold_placement(
+            retrieve_top_k(toy_index, q.text, 3, question_id=q.question_id), q, placement
+        ).passage_ids()
+        for q in toy_questions
+    }
+    assert orders[()] == expected
+    reseeded = orders[("--seed", "8")]
+    assert sorted(reseeded) == sorted(expected)
+    assert any(reseeded[qid] != ids for qid, ids in expected.items())
 
 
 def test_validate_rejects_oversized_passage_budget(tmp_path):
@@ -156,6 +233,14 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
     with pytest.raises(ValueError, match="workers"):
         config.validate("run")
     config.workers = 1
+    config.max_in_flight = 0
+    with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
+        config.validate("run")
+    config.max_in_flight = 4
+    config.unknown_sentinel = ""
+    with pytest.raises(ValueError, match="unknown_sentinel must be non-empty"):
+        config.validate("run")
+    config.unknown_sentinel = "unknown"
     config.nm_denominator = "some"
     with pytest.raises(ValueError, match="nm_denominator"):
         config.validate("run")

@@ -314,6 +314,28 @@ def test_live_client_malformed_body_is_a_transport_error():
         client.complete(CompletionRequest(prompt_text="x"))
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        ok_body(None),  # OpenAI-style endpoints send null content
+        ok_body(42),
+        ok_body(["Paris"]),
+        ok_body("Paris", "lots"),
+        ok_body("Paris", [41, 7]),
+        ok_body("Paris", {"prompt_tokens": "41", "completion_tokens": 7}),
+        ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": True}),
+    ],
+)
+def test_live_client_rejects_an_unusable_body_without_caching_or_billing(tmp_path, body):
+    cache_path = tmp_path / "cache.jsonl"
+    client, calls, _ = live_client([(200, body)], cache=ResponseCache(cache_path))
+    with pytest.raises(TransportError, match="malformed completion body"):
+        client.complete(CompletionRequest(prompt_text="x"))
+    assert len(calls) == 1
+    assert not cache_path.exists()
+    assert client.ledger.snapshot()["calls"] == 0
+
+
 def test_live_client_enforces_max_in_flight():
     active, seen = [], []
     lock = threading.Lock()

@@ -124,7 +124,7 @@ def test_disjoint_passage_scores_zero_and_ranks_below_matches():
 
 
 def config_for(mode: PlacementMode, seed: int = 0) -> RetrievalConfig:
-    return RetrievalConfig(k=5, placement_mode=mode, rng_seed=seed)
+    return RetrievalConfig(k=5, placement=mode, seed=seed)
 
 
 def ranked_fixture():

@@ -177,7 +177,7 @@ def test_tokenize_equals_split_and_filter(text):
 
 
 def placement_config(mode: PlacementMode, k: int = 3) -> RetrievalConfig:
-    return RetrievalConfig(k=k, placement_mode=mode)
+    return RetrievalConfig(k=k, placement=mode)
 
 
 def test_short_ranking_keeps_every_entry_when_gold_is_inserted():
@@ -213,7 +213,7 @@ def test_empty_ranking_with_gold_placement_is_a_value_error(mode):
 def test_placement_keeps_min_k_len_plus_one_entries(ids, gold, k, mode, seed):
     ranked = ranked_list_from_ids("q", ids, k)
     question = make_question("q", "x", ("y",), gold=gold)
-    config = RetrievalConfig(k=k, placement_mode=mode, rng_seed=seed)
+    config = RetrievalConfig(k=k, placement=mode, seed=seed)
     placed = apply_gold_placement(ranked, question, config).passage_ids()
     before = ranked.passage_ids()
     expected_len = len(before) if gold in before else min(k, len(before) + 1)
