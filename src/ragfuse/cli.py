@@ -564,13 +564,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "report":
             cmd_report(args.records, args.nm_denominator)
-            return 0
-        config = apply_overrides(load_config(args.config), args)
-        if args.command == "filter":
-            cmd_filter(config)
+        elif args.command == "filter":
+            cmd_filter(apply_overrides(load_config(args.config), args))
         else:
-            cmd_run(config)
+            cmd_run(apply_overrides(load_config(args.config), args))
+        # A reader that closed stdout early fails this flush, not the one at exit.
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # As the Python docs advise for SIGPIPE: send what is still buffered to
+        # devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         CorpusError,
         ValueError,

@@ -22,10 +22,8 @@ class Document:
 @dataclass(frozen=True)
 class Passage:
     passage_id: str
-    doc_id: str
     title: str
     text: str
-    word_count: int
 
 
 @dataclass(frozen=True)
@@ -52,14 +50,11 @@ def chunk_document(doc: Document, max_words: int) -> list[Passage]:
     words = doc.body.split()
     passages = []
     for index, start in enumerate(range(0, len(words), max_words)):
-        chunk = words[start : start + max_words]
         passages.append(
             Passage(
                 passage_id=f"{doc.doc_id}#{index}",
-                doc_id=doc.doc_id,
                 title=doc.title,
-                text=" ".join(chunk),
-                word_count=len(chunk),
+                text=" ".join(words[start : start + max_words]),
             )
         )
     return passages
@@ -136,11 +131,19 @@ _QUESTION_ROW = {
 }
 
 
+def _breaks_line(text: str) -> bool:
+    """Whether text holds a character on which str.splitlines breaks. Prompts
+    give each title and question one line, so such a character would split it."""
+    return "".join(text.splitlines()) != text
+
+
 def load_corpus(path: str | Path) -> list[Document]:
     """Load documents from a JSONL file with fields {id, title, text}."""
     documents = []
     seen: set[str] = set()
     for lineno, row in read_rows(path, _DOCUMENT_ROW):
+        if _breaks_line(row["title"]):
+            raise CorpusError(f"{path}:{lineno}: title holds a line break")
         if row["id"] in seen:
             raise CorpusError(f"{path}:{lineno}: duplicate document id {row['id']!r}")
         seen.add(row["id"])
@@ -156,6 +159,8 @@ def load_questions(path: str | Path) -> list[Question]:
     for lineno, row in read_rows(path, _QUESTION_ROW, optional=("gold_passage_id",)):
         if not row["question"].strip():
             raise CorpusError(f"{path}:{lineno}: question text is blank")
+        if _breaks_line(row["question"]):
+            raise CorpusError(f"{path}:{lineno}: question text holds a line break")
         if not row["answers"]:
             raise CorpusError(f"{path}:{lineno}: answers must be a non-empty list")
         if not all(answer.strip() for answer in row["answers"]):

@@ -11,6 +11,7 @@ from .corpus import Question
 from .llm import CompletionClient, CompletionRequest
 from .prompts import (
     DEFAULT_UNKNOWN_POLICY,
+    PromptKind,
     UnknownPolicy,
     classify_response,
     render_closed_book,
@@ -78,10 +79,6 @@ class EvalRecord:
     completion_tokens_total: int = 0
 
 
-def _strategy_name(strategy: object) -> str:
-    return getattr(strategy, "value", str(strategy))
-
-
 def score_trace(trace: "StrategyTrace", question: Question) -> EvalRecord:
     """Score one finished trace against the question's gold aliases.
 
@@ -109,7 +106,7 @@ def score_trace(trace: "StrategyTrace", question: Question) -> EvalRecord:
         nm_event = pool_contains_gold and em == 0
     return EvalRecord(
         question_id=question.question_id,
-        strategy=_strategy_name(trace.strategy),
+        strategy=trace.strategy.value,
         em=em,
         f1=f1,
         is_unknown=is_unknown,
@@ -139,7 +136,7 @@ def filter_dataset(
             prompt_text=render_closed_book(question, sentinel=policy.sentinel),
             max_response_tokens=max_response_tokens,
             question_id=question.question_id,
-            exchange_key="closed_book",
+            exchange_key=PromptKind.CLOSED_BOOK.value,
         )
         answer = classify_response(client.complete(request).text, policy)
         if not answer.is_unknown and exact_match(answer.text, question.gold_answers) == 1:

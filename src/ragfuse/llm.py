@@ -47,7 +47,6 @@ class CompletionRequest:
 
     prompt_text: str
     max_response_tokens: int = 64
-    temperature: float = 0.0
     question_id: str | None = None
     exchange_key: str | None = None
 
@@ -81,7 +80,6 @@ class UsageLedger:
                 "calls": self.calls,
                 "prompt_tokens": self.prompt_tokens,
                 "completion_tokens": self.completion_tokens,
-                "total_tokens": self.prompt_tokens + self.completion_tokens,
             }
 
 
@@ -373,7 +371,7 @@ class LiveClient(CompletionClient):
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt_text}],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_response_tokens,
         }
         cache_key = None

@@ -63,8 +63,8 @@ class Answer:
 UNKNOWN = Answer()
 
 
-def _passage_block(index: int, passage: Passage) -> str:
-    return f"Passage {index}: {passage.title}. {passage.text}"
+def _passage_lines(passages: list[Passage]) -> str:
+    return "\n".join(f"Passage {i}: {p.title}. {p.text}" for i, p in enumerate(passages, 1))
 
 
 def _question_line(question: Question) -> str:
@@ -79,7 +79,7 @@ def _answer_instruction(sentinel: str) -> str:
 
 
 # Separates the one-shot demonstration from the task; the mock rule backend
-# only reads what follows the last occurrence.
+# only reads what follows the last line that is exactly this text.
 TASK_DELIMITER = "Now answer the real question."
 
 _PRUNING_HEADER = (
@@ -96,35 +96,28 @@ _SUMMARY_HEADER = (
     'If the passages do not contain the answer, make the final line "Answer: {sentinel}".'
 )
 
-# One-shot demonstrations use a fixed synthetic scene so they can never leak
-# content from an evaluation corpus.
-_DEMO_PASSAGES = (
-    "Passage 1: Mount Vell. The summit of Mount Vell rises above the Branta "
-    "plain, and its northern ridge stays snowbound for most of the year.",
-    "Passage 2: Harbor of Liss. The harbor of Liss shelters a fleet of forty "
-    "fishing boats behind a long granite breakwater.",
-    "Passage 3: Vell Observatory. The Vell Observatory was completed on the "
-    "northern ridge of Mount Vell by the astronomer Doran Lethe.",
-)
 
-_DEMO_QUESTION = "Question: who completed the Vell Observatory"
-
-_PRUNING_DEMO = "\n".join(
-    (
-        *_DEMO_PASSAGES,
-        _DEMO_QUESTION,
-        "Irrelevant passages: 1, 2",
-        "Answer: Doran Lethe",
+def _demo(reasoning: str) -> str:
+    """A one-shot demonstration over a fixed synthetic scene, so it can never
+    leak content from an evaluation corpus."""
+    return "\n".join(
+        (
+            "Passage 1: Mount Vell. The summit of Mount Vell rises above the Branta "
+            "plain, and its northern ridge stays snowbound for most of the year.",
+            "Passage 2: Harbor of Liss. The harbor of Liss shelters a fleet of forty "
+            "fishing boats behind a long granite breakwater.",
+            "Passage 3: Vell Observatory. The Vell Observatory was completed on the "
+            "northern ridge of Mount Vell by the astronomer Doran Lethe.",
+            "Question: who completed the Vell Observatory",
+            reasoning,
+            "Answer: Doran Lethe",
+        )
     )
-)
 
-_SUMMARY_DEMO = "\n".join(
-    (
-        *_DEMO_PASSAGES,
-        _DEMO_QUESTION,
-        "Summary: The observatory on Mount Vell was completed by the astronomer Doran Lethe.",
-        "Answer: Doran Lethe",
-    )
+
+_PRUNING_DEMO = _demo("Irrelevant passages: 1, 2")
+_SUMMARY_DEMO = _demo(
+    "Summary: The observatory on Mount Vell was completed by the astronomer Doran Lethe."
 )
 
 
@@ -134,9 +127,8 @@ def render_concatenation(
     """All passages in rank order, then the question, then the instruction."""
     if not passages:
         raise ValueError("render_concatenation requires at least one passage")
-    blocks = [_passage_block(i + 1, p) for i, p in enumerate(passages)]
     return "\n".join(
-        ("\n".join(blocks), "", _question_line(question), "", _answer_instruction(sentinel))
+        (_passage_lines(passages), "", _question_line(question), "", _answer_instruction(sentinel))
     )
 
 
@@ -147,28 +139,33 @@ def render_post_fusion_single(
     return render_concatenation([passage], question, sentinel)
 
 
+def _render_one_shot(
+    header: str, demo: str, passages: list[Passage], question: Question, sentinel: str
+) -> str:
+    return "\n".join(
+        (
+            header.format(sentinel=sentinel),
+            "",
+            "Here is an example.",
+            "",
+            demo,
+            "",
+            TASK_DELIMITER,
+            "",
+            _passage_lines(passages),
+            "",
+            _question_line(question),
+        )
+    )
+
+
 def render_pruning(
     passages: list[Passage], question: Question, sentinel: str = DEFAULT_SENTINEL
 ) -> str:
     """Eliminate-then-answer prompt with one fixed demonstration."""
     if not passages:
         raise ValueError("render_pruning requires at least one passage")
-    blocks = [_passage_block(i + 1, p) for i, p in enumerate(passages)]
-    return "\n".join(
-        (
-            _PRUNING_HEADER.format(sentinel=sentinel),
-            "",
-            "Here is an example.",
-            "",
-            _PRUNING_DEMO,
-            "",
-            TASK_DELIMITER,
-            "",
-            "\n".join(blocks),
-            "",
-            _question_line(question),
-        )
-    )
+    return _render_one_shot(_PRUNING_HEADER, _PRUNING_DEMO, passages, question, sentinel)
 
 
 def render_summary(
@@ -177,22 +174,7 @@ def render_summary(
     """Summarize-then-answer prompt with one fixed demonstration."""
     if not passages:
         raise ValueError("render_summary requires at least one passage")
-    blocks = [_passage_block(i + 1, p) for i, p in enumerate(passages)]
-    return "\n".join(
-        (
-            _SUMMARY_HEADER.format(sentinel=sentinel),
-            "",
-            "Here is an example.",
-            "",
-            _SUMMARY_DEMO,
-            "",
-            TASK_DELIMITER,
-            "",
-            "\n".join(blocks),
-            "",
-            _question_line(question),
-        )
-    )
+    return _render_one_shot(_SUMMARY_HEADER, _SUMMARY_DEMO, passages, question, sentinel)
 
 
 def render_distill(
@@ -211,10 +193,9 @@ def render_distill(
     if not candidates:
         raise ValueError("render_distill requires a non-empty candidate list")
     unique = list(dict.fromkeys(candidates))
-    blocks = [_passage_block(i + 1, p) for i, p in enumerate(passages)]
     return "\n".join(
         (
-            "\n".join(blocks),
+            _passage_lines(passages),
             "",
             _question_line(question),
             "Candidates: " + "; ".join(unique),
@@ -256,15 +237,18 @@ def extract_task(prompt_text: str) -> TaskBlock:
     """Parse the task section of a rendered prompt.
 
     This is the inverse of the renderers above, consumed by the rule-based
-    mock backend; demonstration blocks before TASK_DELIMITER are skipped.
-    Passage and question content is assumed to be single-line (corpus
-    chunking joins words with single spaces).
+    mock backend; everything up to the last line that equals TASK_DELIMITER
+    (the demonstration) is skipped, so passage text may quote the phrase.
+    Every passage and question is one line: chunking joins words with single
+    spaces, and the loaders reject titles and question text that break lines.
     """
-    block = prompt_text.rsplit(TASK_DELIMITER, 1)[-1]
+    lines = prompt_text.splitlines()
+    if TASK_DELIMITER in lines:
+        lines = lines[len(lines) - lines[::-1].index(TASK_DELIMITER) :]
     passages: list[str] = []
     question: str | None = None
     candidates: tuple[str, ...] = ()
-    for line in block.splitlines():
+    for line in lines:
         match = _PASSAGE_LINE.match(line)
         if match:
             passages.append(match.group(1))

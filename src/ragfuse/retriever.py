@@ -57,7 +57,6 @@ class RetrievalConfig:
 class RankedList:
     question_id: str
     entries: tuple[tuple[str, float], ...]
-    gold_inserted: bool = False
 
     def passage_ids(self) -> list[str]:
         return [pid for pid, _ in self.entries]
@@ -82,10 +81,9 @@ class Bm25Index:
     weighed. A query costs the postings of its own terms, plus O(M log k) to
     pick the top k of the M passages they touch with a k-sized heap.
 
-    ``lengths`` is kept from the build; ``doc_freq`` and ``term_freqs`` are
-    re-derived on each access. With several worker threads, two may weigh
-    the same term at once: both compute identical arrays and a dict store is
-    atomic, so no lock is needed.
+    With several worker threads, two may weigh the same term at once: both
+    compute identical arrays and a dict store is atomic, so no lock is
+    needed.
     """
 
     def __init__(self, passages: list[Passage], k1: float = 1.2, b: float = 0.75):
@@ -97,21 +95,18 @@ class Bm25Index:
         if not 0 <= b <= 1:
             raise ValueError("bm25_b must be in [0, 1]")
         self.k1 = k1
-        self.b = b
-        self.passages = {p.passage_id: p for p in passages}
+        by_id = {p.passage_id: p for p in passages}
         # Stable id order fixes tie-breaking and score-summation order.
-        self.passage_ids = sorted(self.passages)
-        self.num_passages = len(self.passage_ids)
+        self.passage_ids = sorted(by_id)
         slot_lengths: list[int] = []
         occurrences: defaultdict[str, array] = defaultdict(lambda: array("i"))
         for slot, pid in enumerate(self.passage_ids):
-            tokens = tokenize(self.passages[pid].text)
+            tokens = tokenize(by_id[pid].text)
             slot_lengths.append(len(tokens))
             for term in tokens:
                 occurrences[term].append(slot)
         self._occurrences = dict(occurrences)
-        self.lengths = dict(zip(self.passage_ids, slot_lengths))
-        self.avg_length = sum(slot_lengths) / self.num_passages
+        self.avg_length = sum(slot_lengths) / len(slot_lengths)
         # k1 * length_norm is the scorer's own subexpression, so each weight
         # is bitwise the term's contribution in the BM25 formula.
         self._k1_norms: list[float] = []
@@ -121,22 +116,6 @@ class Bm25Index:
             ]
         self._weights: dict[str, tuple[array, array]] = {}
 
-    @property
-    def doc_freq(self) -> dict[str, int]:
-        """Passages containing each term, re-derived from the postings on each access."""
-        return {term: len(set(slots)) for term, slots in self._occurrences.items()}
-
-    @property
-    def term_freqs(self) -> dict[str, Counter[str]]:
-        """Per-passage term counts, re-derived from passage text on each access."""
-        return {pid: Counter(tokenize(self.passages[pid].text)) for pid in self.passage_ids}
-
-    def idf(self, term: str) -> float:
-        return self._idf(len(set(self._occurrences.get(term, ()))))
-
-    def _idf(self, df: int) -> float:
-        return math.log(1.0 + (self.num_passages - df + 0.5) / (df + 0.5))
-
     def _posting(self, term: str) -> tuple[array, array] | None:
         """The term's (slots, weights) arrays, weighed on first use; None if unindexed."""
         posting = self._weights.get(term)
@@ -145,7 +124,8 @@ class Bm25Index:
             if slots is None:
                 return None
             tfs = Counter(slots)  # slot -> tf, in ascending slot order
-            idf = self._idf(len(tfs))
+            df = len(tfs)
+            idf = math.log(1.0 + (len(self.passage_ids) - df + 0.5) / (df + 0.5))
             k1 = self.k1
             k1_norms = self._k1_norms
             weights = [idf * tf * (k1 + 1.0) / (tf + k1_norms[slot]) for slot, tf in tfs.items()]
@@ -199,7 +179,7 @@ def retrieve_top_k(index: Bm25Index, query: str, k: int, question_id: str = "") 
     ids = index.passage_ids
     entries = [(ids[slot], score) for slot, score in top]
     slot = 0
-    while len(entries) < k and slot < index.num_passages:
+    while len(entries) < k and slot < len(ids):
         if slot not in scored:
             entries.append((ids[slot], 0.0))
         slot += 1
@@ -242,7 +222,7 @@ def apply_gold_placement(
             entries.insert(0, gold_entry)
         else:
             entries.append(gold_entry)
-        return replace(ranked, entries=tuple(entries), gold_inserted=False)
+        return replace(ranked, entries=tuple(entries))
 
     if len(entries) >= config.k:
         entries.pop()
@@ -256,7 +236,7 @@ def apply_gold_placement(
         rng = random.Random(f"{config.seed}:{ranked.question_id}")
         position = rng.randrange(len(entries) + 1)
     entries.insert(position, (gold_id, 0.0))
-    return replace(ranked, entries=tuple(entries), gold_inserted=True)
+    return replace(ranked, entries=tuple(entries))
 
 
 _RANKING_ROW = {"question_id": (str,), "ranked_passage_ids": (list,)}

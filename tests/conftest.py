@@ -50,10 +50,8 @@ def toy_index(toy_passages):
 def make_passage(pid: str, text: str, title: str = "") -> Passage:
     return Passage(
         passage_id=pid,
-        doc_id=pid.split("#")[0],
         title=title or pid.split("#")[0].replace("-", " ").title(),
         text=text,
-        word_count=len(text.split()),
     )
 
 
@@ -81,10 +79,15 @@ def write_config(path: Path, **fields) -> Path:
     return path
 
 
+def checkout_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's ragfuse."""
+    src = str(Path(ragfuse.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run script in a fresh interpreter that imports this checkout's ragfuse."""
-    src = str(Path(ragfuse.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *args],
+        env=checkout_env(), capture_output=True, text=True, timeout=120,
     )

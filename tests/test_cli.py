@@ -2,6 +2,8 @@
 
 import gc
 import json
+import subprocess
+import sys
 import tempfile
 import threading
 import weakref
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 import ragfuse.cli as cli
 import ragfuse.llm as llm
-from conftest import FIXTURES, run_python, write_config
+from conftest import FIXTURES, checkout_env, run_python, write_config
+from oracles import simulate_rule_run
 from ragfuse.cli import (
     RunConfig,
     apply_overrides,
@@ -28,8 +31,9 @@ from ragfuse.cli import (
     main,
     parse_strategies,
 )
-from ragfuse.corpus import load_questions
+from ragfuse.corpus import CorpusError, load_questions
 from ragfuse.llm import CompletionRequest, ResponseCache, RuleClient, ScriptClient, count_tokens
+from ragfuse.prompts import TASK_DELIMITER
 from ragfuse.retriever import RetrievalConfig, apply_gold_placement, retrieve_top_k
 from ragfuse.strategies import Strategy
 
@@ -388,6 +392,26 @@ def test_offline_run_loads_neither_openssl_nor_the_http_stack(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
+def test_a_reader_that_closes_stdout_early_ends_the_run_with_exit_1_and_no_error(tmp_path):
+    # The read end is closed before the child starts writing, so its final
+    # flush always meets a broken pipe. It used to print "error: [Errno 32]
+    # Broken pipe" and exit 2 after a complete run.
+    config_path = write_config(tmp_path / "run.yaml", out=tmp_path / "out")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ragfuse.cli", "run", "--config", str(config_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
+    )
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+    finally:
+        child.stderr.close()
+        child.wait(timeout=120)
+    assert (child.returncode, err) == (1, b"")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "complete"
+
+
 def test_cmd_run_is_deterministic_across_workers(tmp_path):
     first = run_config(tmp_path, out=tmp_path / "a")
     second = run_config(tmp_path, out=tmp_path / "b", workers=4)
@@ -435,6 +459,75 @@ def test_cmd_run_sweep_produces_one_row_per_mode(tmp_path):
     ]
     for mode in ("retrieval_order", "gold_top", "gold_bottom"):
         assert (tmp_path / "out" / mode / "records.jsonl").exists()
+
+
+def test_each_sweep_mode_writes_what_a_direct_run_at_that_mode_writes(tmp_path, capsys):
+    cmd_run(run_config(tmp_path, strategies="all", placement="sweep"))
+    for mode in ("retrieval_order", "gold_top", "gold_bottom"):
+        direct = tmp_path / "direct" / mode
+        cmd_run(run_config(tmp_path, strategies="all", placement=mode, out=direct))
+        for name in ("traces.jsonl", "records.jsonl", "tokens.csv", "report.json"):
+            assert (tmp_path / "out" / mode / name).read_bytes() == (direct / name).read_bytes()
+    capsys.readouterr()
+
+
+def write_scene(root: Path, title: str, text: str, question: str) -> tuple[Path, Path]:
+    """A three-document corpus and two questions; the first document, its
+    title and the first question text are given."""
+    documents = [
+        {"id": "vell", "title": title, "text": text},
+        {"id": "liss", "title": "Harbor of Liss", "text": "The harbor of Liss shelters forty boats."},
+        {"id": "branta", "title": "Branta", "text": "The Branta plain lies below the ridge."},
+    ]
+    questions = [
+        {"id": "q1", "question": question, "answers": ["Doran Lethe"]},
+        {"id": "q2", "question": "how many boats does the harbor of Liss shelter", "answers": ["forty"]},
+    ]
+    paths = root / "corpus.jsonl", root / "questions.jsonl"
+    for path, rows in zip(paths, (documents, questions)):
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return paths
+
+
+_OBSERVATORY = "The observatory on the ridge was completed by Doran Lethe."
+_WHO = "who completed the observatory on the ridge"
+
+
+@pytest.mark.parametrize(
+    "title, text, question, rejected",
+    [
+        ("Vell Observatory", f"{_OBSERVATORY} {TASK_DELIMITER}", _WHO, None),
+        (TASK_DELIMITER, _OBSERVATORY, _WHO, None),
+        ("Vell Observatory", _OBSERVATORY, TASK_DELIMITER, None),
+        ("", _OBSERVATORY, _WHO, None),
+        ("Vell\nObservatory", _OBSERVATORY, _WHO, "corpus.jsonl:1: title holds a line break"),
+        ("Vell\u2028Observatory", _OBSERVATORY, _WHO, "corpus.jsonl:1: title holds a line break"),
+        (
+            "Vell Observatory", _OBSERVATORY, f"{_WHO}\n{TASK_DELIMITER}",
+            "questions.jsonl:1: question text holds a line break",
+        ),
+    ],
+)
+def test_run_matches_the_oracle_or_rejects_text_that_would_split_a_prompt(
+    tmp_path, capsys, title, text, question, rejected
+):
+    # Every case but the empty title used to score below the oracle on
+    # concat, pruning and summary: the rule backend read the task from the
+    # wrong line on, or lost the rest of a passage to a second line.
+    corpus, questions = write_scene(tmp_path, title, text, question)
+    config = run_config(tmp_path, corpus=corpus, questions=questions, strategies="all", k=2)
+    if rejected is not None:
+        with pytest.raises(CorpusError, match=rejected):
+            cmd_run(config)
+        return
+    report = cmd_run(config)["no_gold"]
+    capsys.readouterr()
+    want = simulate_rule_run(corpus, questions, k=2)
+    for row in report.strategies:
+        assert row.em_pct == want[row.strategy]["em_pct"] == 100.0, row.strategy
+        assert row.unknown_rate == want[row.strategy]["unknown_rate"], row.strategy
+        assert row.no_match_rate == want[row.strategy]["no_match_rate"], row.strategy
+        assert abs(row.f1_pct - want[row.strategy]["f1_pct"]) <= 1e-9, row.strategy
 
 
 def test_cmd_run_with_precomputed_rankings(tmp_path, toy_questions, toy_passages):

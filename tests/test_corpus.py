@@ -1,5 +1,7 @@
 """Tests for document loading and fixed-size passage chunking."""
 
+import json
+
 import pytest
 
 from ragfuse.corpus import (
@@ -19,7 +21,7 @@ def doc(doc_id: str, words: int) -> Document:
 
 def test_chunk_250_words_makes_100_100_50():
     passages = chunk_document(doc("d", 250), 100)
-    assert [p.word_count for p in passages] == [100, 100, 50]
+    assert [len(p.text.split()) for p in passages] == [100, 100, 50]
     assert [p.passage_id for p in passages] == ["d#0", "d#1", "d#2"]
 
 
@@ -30,15 +32,14 @@ def test_chunk_empty_body_yields_no_passages():
 def test_chunk_exact_fit_is_one_full_passage():
     passages = chunk_document(doc("d", 100), 100)
     assert len(passages) == 1
-    assert passages[0].word_count == 100
+    assert len(passages[0].text.split()) == 100
 
 
 def test_chunks_partition_the_document_words():
     document = doc("d", 437)
     passages = chunk_document(document, 100)
     assert " ".join(p.text for p in passages) == document.body
-    assert all(p.word_count == len(p.text.split()) for p in passages)
-    assert all(p.title == document.title and p.doc_id == "d" for p in passages)
+    assert all(p.title == document.title for p in passages)
 
 
 def test_chunk_rejects_nonpositive_max_words():
@@ -130,6 +131,34 @@ def test_load_questions_blank_question_text_rejected(tmp_path, text):
     message = "field 'question' has the wrong type" if text == "null" else "question text is blank"
     with pytest.raises(CorpusError, match=rf"questions.jsonl:1: {message}"):
         load_questions(path)
+
+
+# Every character on which str.splitlines breaks a line.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS)
+@pytest.mark.parametrize("template", ["Vell{}Observatory", "Vell Observatory{}"])
+def test_a_title_or_question_text_with_a_line_break_is_rejected(tmp_path, char, template):
+    # A prompt gives each title and question one line; a second line used to
+    # drop the rest of the passage, or the passages, from what the model reads.
+    value = template.format(char)
+    corpus = tmp_path / "corpus.jsonl"
+    rows = [{"id": "d1", "title": "", "text": "a"}, {"id": "d2", "title": value, "text": "b"}]
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"corpus.jsonl:2: title holds a line break$"):
+        load_corpus(corpus)
+    questions = tmp_path / "questions.jsonl"
+    row = {"id": "q1", "question": value, "answers": ["y"]}
+    questions.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"questions.jsonl:1: question text holds a line break$"):
+        load_questions(questions)
+
+
+def test_load_corpus_accepts_an_empty_title(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "d1", "title": "", "text": "a\\nb"}\n', encoding="utf-8")
+    assert load_corpus(path)[0].title == ""
 
 
 def test_load_questions_empty_file(tmp_path):

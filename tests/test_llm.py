@@ -55,7 +55,6 @@ def test_usage_ledger_accumulates_thread_safely():
         "calls": 100,
         "prompt_tokens": 300,
         "completion_tokens": 200,
-        "total_tokens": 500,
     }
 
 
@@ -167,9 +166,8 @@ def test_every_complete_call_updates_the_ledger():
     response = client.complete(CompletionRequest(prompt_text=prompt))
     after = client.ledger.snapshot()
     assert after["calls"] == before["calls"] + 1
-    assert after["total_tokens"] - before["total_tokens"] == (
-        response.prompt_tokens + response.completion_tokens
-    )
+    assert after["prompt_tokens"] - before["prompt_tokens"] == response.prompt_tokens
+    assert after["completion_tokens"] - before["completion_tokens"] == response.completion_tokens
 
 
 def test_script_client_looks_up_by_question_and_exchange():
@@ -259,12 +257,11 @@ def test_live_client_uses_provider_usage():
     client, calls, _ = live_client(
         [(200, ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": 7}))]
     )
-    response = client.complete(
-        CompletionRequest(prompt_text="a b c", max_response_tokens=9, temperature=0.0)
-    )
+    response = client.complete(CompletionRequest(prompt_text="a b c", max_response_tokens=9))
     assert (response.text, response.prompt_tokens, response.completion_tokens) == ("Paris", 41, 7)
     assert response.backend is Backend.LIVE
-    assert client.ledger.snapshot()["total_tokens"] == 48
+    usage = client.ledger.snapshot()
+    assert usage["prompt_tokens"] + usage["completion_tokens"] == 48
     payload = calls[0]
     assert payload["model"] == "test-model"
     assert payload["messages"] == [{"role": "user", "content": "a b c"}]

@@ -143,11 +143,18 @@ def test_token_identity_between_concat_and_post_fusion():
 
 
 def test_extract_task_round_trips_each_renderer():
-    for render in (render_concatenation, render_pruning, render_summary):
-        task = extract_task(render(PASSAGES, QUESTION))
-        assert task.passages == tuple(f"{p.title}. {p.text}" for p in PASSAGES)
-        assert task.question == QUESTION.text
-        assert task.candidates == ()
+    # Only a whole line delimits the demonstration, so a title, passage text
+    # or question may quote the delimiter.
+    quoting = [make_passage("d#0", f"it says {TASK_DELIMITER} here", title=TASK_DELIMITER)]
+    for passages, question in (
+        (PASSAGES, QUESTION),
+        (quoting + PASSAGES, make_question("q2", TASK_DELIMITER, ("x",))),
+    ):
+        for render in (render_concatenation, render_pruning, render_summary):
+            task = extract_task(render(passages, question))
+            assert task.passages == tuple(f"{p.title}. {p.text}" for p in passages)
+            assert task.question == question.text
+            assert task.candidates == ()
     task = extract_task(render_distill(PASSAGES, QUESTION, ["a b", "c"]))
     assert task.candidates == ("a b", "c")
     assert task.question == QUESTION.text

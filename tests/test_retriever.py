@@ -29,16 +29,21 @@ def test_tokenize_lowercases_and_splits_on_nonalnum():
     assert tokenize("...") == []
 
 
+def texts_of(passages) -> dict[str, str]:
+    return {p.passage_id: p.text for p in passages}
+
+
 def test_index_counts_documents_and_term_frequencies():
     index = build_index(THREE)
-    assert index.num_passages == 3
-    # hand-counted document frequencies
-    assert index.doc_freq["cat"] == 1
-    assert index.doc_freq["sat"] == 2
-    assert index.doc_freq["the"] == 2
-    assert index.doc_freq["dogs"] == 1
-    assert "Cat" not in index.doc_freq
+    assert index.passage_ids == ["p1", "p2", "p3"]
     assert index.avg_length == 5.0
+    # slot_scores holds exactly the passages containing the term: its size is
+    # the hand-counted document frequency
+    assert {term: len(index.slot_scores(term)) for term in ("cat", "sat", "the", "dogs")} == {
+        "cat": 1, "sat": 2, "the": 2, "dogs": 1
+    }
+    for term in ("cat", "sat", "the", "dogs", "Cat"):
+        assert index.scores(term) == bm25_scores(texts_of(THREE), term)
 
 
 def test_index_rejects_empty_passage_list():
@@ -47,14 +52,19 @@ def test_index_rejects_empty_passage_list():
 
 
 def test_repeated_word_tf_equals_word_count():
-    index = build_index([make_passage("p", "echo echo echo echo")])
-    assert index.term_freqs["p"]["echo"] == 4
+    passages = [make_passage("p", "echo echo echo echo"), make_passage("q", "echo and more words")]
+    index = build_index(passages)
+    assert index.scores("echo") == bm25_scores(texts_of(passages), "echo")
+    assert index.scores("echo")["p"] > index.scores("echo")["q"]
 
 
 def test_identical_passages_have_identical_statistics():
-    index = build_index([make_passage("a", "same words here"), make_passage("b", "same words here")])
-    assert index.lengths["a"] == index.lengths["b"]
-    assert index.term_freqs["a"] == index.term_freqs["b"]
+    passages = [make_passage("a", "same words here"), make_passage("b", "same words here")]
+    index = build_index(passages)
+    for query in ("same", "words here", "same same absent"):
+        scores = index.scores(query)
+        assert scores["a"] == scores["b"]
+        assert scores == bm25_scores(texts_of(passages), query)
 
 
 def test_three_passage_scores_match_hand_derived_values():
@@ -154,8 +164,8 @@ def test_present_gold_moves_to_top_or_bottom():
     bottom = apply_gold_placement(ranked, question, config_for(PlacementMode.GOLD_BOTTOM))
     assert top.passage_ids()[0] == gold
     assert bottom.passage_ids()[-1] == gold
-    assert not top.gold_inserted and not bottom.gold_inserted
-    assert sorted(top.passage_ids()) == sorted(ranked.passage_ids())
+    # the gold entry keeps its retrieval score: nothing was inserted
+    assert sorted(top.entries) == sorted(bottom.entries) == sorted(ranked.entries)
 
 
 def test_present_gold_unmoved_in_retrieval_order_and_random():
@@ -164,8 +174,7 @@ def test_present_gold_unmoved_in_retrieval_order_and_random():
     question = make_question("q", "x", ("y",), gold=gold)
     for mode in (PlacementMode.RETRIEVAL_ORDER, PlacementMode.GOLD_RANDOM):
         placed = apply_gold_placement(ranked, question, config_for(mode))
-        assert placed.passage_ids() == ranked.passage_ids()
-        assert not placed.gold_inserted
+        assert placed.entries == ranked.entries
 
 
 def test_absent_gold_evicts_last_and_inserts():
@@ -175,8 +184,8 @@ def test_absent_gold_evicts_last_and_inserts():
     evicted = ranked.passage_ids()[-1]
     top = apply_gold_placement(ranked, question, config_for(PlacementMode.GOLD_TOP))
     bottom = apply_gold_placement(ranked, question, config_for(PlacementMode.GOLD_BOTTOM))
-    assert top.passage_ids()[0] == "p7" and top.gold_inserted
-    assert bottom.passage_ids()[-1] == "p7" and bottom.gold_inserted
+    assert top.passage_ids()[0] == "p7"
+    assert bottom.passage_ids()[-1] == "p7"
     for placed in (top, bottom):
         assert len(placed.entries) == len(ranked.entries)
         assert evicted not in placed.passage_ids()
@@ -190,7 +199,7 @@ def test_absent_gold_random_insertion_is_seed_deterministic():
         first = apply_gold_placement(ranked, question, config_for(mode, seed=3))
         second = apply_gold_placement(ranked, question, config_for(mode, seed=3))
         assert first.passage_ids() == second.passage_ids()
-        assert first.gold_inserted
+        assert dict(first.entries)["p7"] == 0.0  # the inserted entry's sentinel score
         assert len(first.entries) == len(ranked.entries)
     positions = {
         apply_gold_placement(ranked, question, config_for(PlacementMode.GOLD_RANDOM, seed=s))

@@ -231,9 +231,14 @@ def test_exchange_counts_per_strategy():
 
 def test_trace_token_totals_match_exchanges_and_ledger():
     client = RuleClient([QUESTION])
-    before = client.ledger.snapshot()["total_tokens"]
+
+    def billed_tokens() -> int:
+        usage = client.ledger.snapshot()
+        return usage["prompt_tokens"] + usage["completion_tokens"]
+
+    before = billed_tokens()
     trace = run_post_fusion(PASSAGES, QUESTION, client)
-    after = client.ledger.snapshot()["total_tokens"]
+    after = billed_tokens()
     assert trace.prompt_tokens_total == sum(e.response.prompt_tokens for e in trace.exchanges)
     assert trace.completion_tokens_total == sum(
         e.response.completion_tokens for e in trace.exchanges
