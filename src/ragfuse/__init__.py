@@ -33,7 +33,6 @@ from .llm import (
     ScriptClient,
     ScriptError,
     TransportError,
-    UsageLedger,
     count_tokens,
     load_script,
 )

@@ -31,12 +31,14 @@ from .evaluation import (
     EvalReport,
     StrategyReport,
     aggregate,
+    exact_match,
     filter_dataset,
     score_trace,
 )
 from .llm import (
     BudgetError,
     CompletionClient,
+    CompletionResponse,
     LiveClient,
     ResponseCache,
     RuleClient,
@@ -46,7 +48,7 @@ from .llm import (
     TransportError,
     load_script,
 )
-from .prompts import TEMPLATE_VERSION, Answer, UnknownPolicy
+from .prompts import DEFAULT_SENTINEL, TEMPLATE_VERSION, Answer, UnknownPolicy, classify_response
 from .retriever import (
     Bm25Index,
     PlacementMode,
@@ -98,7 +100,7 @@ class RunConfig(RetrievalConfig):
     script: Path | None = None
     backend: str = "rule"
     strategies: list[Strategy] = field(default_factory=lambda: list(Strategy))
-    unknown_sentinel: str = "unknown"
+    unknown_sentinel: str = DEFAULT_SENTINEL
     unknown_patterns: list[str] = field(default_factory=list)
     max_response_tokens: int = 64
     workers: int = 1
@@ -147,6 +149,8 @@ class RunConfig(RetrievalConfig):
             )
         if not self.unknown_sentinel:
             raise ValueError("unknown_sentinel must be non-empty")
+        if not all(pattern.strip() for pattern in self.unknown_patterns):
+            raise ValueError("unknown_patterns entries must be non-blank")
 
 
 _CONFIG_HINTS = get_type_hints(RunConfig)
@@ -313,21 +317,38 @@ def config_to_dict(config: RunConfig) -> dict:
     return snapshot
 
 
+def _load_scorable_questions(config: RunConfig) -> list[Question]:
+    """Load the questions; ValueError names the first gold alias that a reply
+    of exactly its text would not score: one read as Unknown (the sentinel,
+    an unknown pattern) or one whose text the reading changes (an "Answer:"
+    prefix)."""
+    questions = load_questions(config.questions)
+    policy = config.policy()
+    for question in questions:
+        for alias in question.gold_answers:
+            answer = classify_response(alias, policy)
+            if answer.is_unknown or not exact_match(answer.text, [alias]):
+                read = "Unknown" if answer.is_unknown else repr(answer.text)
+                raise ValueError(
+                    f"{config.questions}: question {question.question_id!r}: gold alias "
+                    f"{alias!r} reads as {read} when replied verbatim, so it can never score"
+                )
+    return questions
+
+
 def cmd_filter(config: RunConfig) -> tuple[list[Question], list[Question]]:
     """Partition questions by the closed-book probe and write both halves."""
     config.validate("filter")
-    questions = load_questions(config.questions)
+    questions = _load_scorable_questions(config)
     client = make_client(config, questions)
     kept, removed = filter_dataset(
         questions, client, policy=config.policy(), max_response_tokens=config.max_response_tokens
     )
     config.out.mkdir(parents=True, exist_ok=True)
-    with (config.out / "kept.jsonl").open("w", encoding="utf-8") as handle:
-        for question in kept:
-            handle.write(_json_line(question_to_dict(question)))
-    with (config.out / "removed.jsonl").open("w", encoding="utf-8") as handle:
-        for question in removed:
-            handle.write(_json_line(question_to_dict(question)))
+    for name, half in (("kept.jsonl", kept), ("removed.jsonl", removed)):
+        with (config.out / name).open("w", encoding="utf-8") as handle:
+            for question in half:
+                handle.write(_json_line(question_to_dict(question)))
     summary = {"total": len(questions), "kept": len(kept), "removed": len(removed)}
     (config.out / "filter.json").write_text(
         json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8"
@@ -371,14 +392,18 @@ def _run_single(config: RunConfig) -> EvalReport:
     # Chunked as loaded: no Document outlives chunking, so the index build and
     # the whole run hold only the passages.
     passages = chunk_corpus(load_corpus(config.corpus), config.max_passage_words)
-    questions = load_questions(config.questions)
+    questions = _load_scorable_questions(config)
     by_id = {p.passage_id: p for p in passages}
     rankings = load_rankings(config.rankings) if config.rankings is not None else None
     index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b) if rankings is None else None
     client = make_client(config, questions)
     policy = config.policy()
 
-    def work(question: Question) -> list[tuple[StrategyTrace, EvalRecord]]:
+    def work(
+        question: Question,
+    ) -> tuple[list[tuple[StrategyTrace, EvalRecord]], Iterable[CompletionResponse]]:
+        """The question's (trace, record) pairs, and the responses its
+        strategies got from the client, one per distinct request."""
         selected = _passages_for_question(question, index, rankings, by_id, config)
         # One memo per question: its strategies repeat each other's calls.
         # The whole question runs on one thread, so the memo needs no lock.
@@ -395,11 +420,13 @@ def _run_single(config: RunConfig) -> EvalReport:
                 memo=memo,
             )
             results.append((trace, score_trace(trace, question)))
-        return results
+        return results, memo.values()
 
     config.out.mkdir(parents=True, exist_ok=True)
     all_records: list[EvalRecord] = []
-    attributed_calls = 0
+    # Billed: the responses in the questions' memos, each request that reached
+    # the client once. Attributed: every exchange of the traces, memo hits too.
+    usage = {"billed": [0, 0, 0], "attributed": [0, 0, 0]}
     status, error_text = "complete", None
     executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     with (
@@ -411,10 +438,11 @@ def _run_single(config: RunConfig) -> EvalReport:
         tokens.writerow(["strategy", "question_id", "calls", "prompt_tokens", "completion_tokens"])
         try:
             results: Iterable = executor.map(work, questions) if executor else map(work, questions)
-            for per_question in results:
+            for per_question, billed in results:
+                _tally(usage["billed"], billed)
                 for trace, record in per_question:
                     all_records.append(record)
-                    attributed_calls += len(trace.exchanges)
+                    _tally(usage["attributed"], (e.response for e in trace.exchanges))
                     traces_file.write(_json_line(trace_to_dict(trace)))
                     records_file.write(_json_line(record_to_dict(record)))
                     tokens.writerow(
@@ -435,24 +463,23 @@ def _run_single(config: RunConfig) -> EvalReport:
             _write_run_outputs(config, report, len(questions), status, error_text)
     print(f"placement={config.placement} backend={config.backend} k={config.k}")
     print(format_report(report))
-    # Billed: what reached the client. Attributed: what the traces record,
-    # memo hits included.
-    attributed = {
-        "calls": attributed_calls,
-        "prompt_tokens": sum(record.prompt_tokens_total for record in all_records),
-        "completion_tokens": sum(record.completion_tokens_total for record in all_records),
-    }
-    usages = (("billed", client.ledger.snapshot()), ("attributed", attributed))
     print(
         "usage: "
         + "; ".join(
-            f"{name} calls={usage['calls']} prompt_tokens={usage['prompt_tokens']} "
-            f"completion_tokens={usage['completion_tokens']}"
-            for name, usage in usages
+            f"{name} calls={calls} prompt_tokens={prompt} completion_tokens={completion}"
+            for name, (calls, prompt, completion) in usage.items()
         )
     )
     print(f"wrote {config.out}")
     return report
+
+
+def _tally(totals: list[int], responses: Iterable[CompletionResponse]) -> None:
+    """Add the responses to [calls, prompt tokens, completion tokens]."""
+    for response in responses:
+        totals[0] += 1
+        totals[1] += response.prompt_tokens
+        totals[2] += response.completion_tokens
 
 
 def _write_run_outputs(

@@ -185,16 +185,11 @@ def aggregate(
         raise ValueError(
             f"nm_denominator must be one of {NM_DENOMINATORS}, got {nm_denominator!r}"
         )
-    order: list[str] = []
     grouped: dict[str, list[EvalRecord]] = {}
     for record in records:
-        if record.strategy not in grouped:
-            order.append(record.strategy)
-            grouped[record.strategy] = []
-        grouped[record.strategy].append(record)
+        grouped.setdefault(record.strategy, []).append(record)
     rows = []
-    for name in order:
-        group = grouped[name]
+    for name, group in grouped.items():
         n = len(group)
         nm_num = sum(1 for r in group if r.nm_event)
         if nm_denominator == "pool":

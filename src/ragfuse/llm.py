@@ -59,38 +59,13 @@ class CompletionResponse:
     backend: Backend
 
 
-class UsageLedger:
-    """Thread-safe running totals of token usage across calls."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.calls = 0
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
-
-    def add(self, prompt_tokens: int, completion_tokens: int) -> None:
-        with self._lock:
-            self.calls += 1
-            self.prompt_tokens += prompt_tokens
-            self.completion_tokens += completion_tokens
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "calls": self.calls,
-                "prompt_tokens": self.prompt_tokens,
-                "completion_tokens": self.completion_tokens,
-            }
-
-
 class CompletionClient:
-    """Base class handling budget checks and usage accounting."""
+    """Base class handling budget checks and token counts."""
 
     backend: Backend
 
     def __init__(self, max_prompt_tokens: int | None = None) -> None:
         self.max_prompt_tokens = max_prompt_tokens
-        self.ledger = UsageLedger()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         if not request.prompt_text.strip():
@@ -102,7 +77,7 @@ class CompletionClient:
                 f"{self.max_prompt_tokens}"
             )
         text, reported_prompt, reported_completion = self._respond(request)
-        response = CompletionResponse(
+        return CompletionResponse(
             text=text,
             prompt_tokens=reported_prompt if reported_prompt is not None else prompt_tokens,
             completion_tokens=(
@@ -110,8 +85,6 @@ class CompletionClient:
             ),
             backend=self.backend,
         )
-        self.ledger.add(response.prompt_tokens, response.completion_tokens)
-        return response
 
     def _respond(self, request: CompletionRequest) -> tuple[str, int | None, int | None]:
         raise NotImplementedError

@@ -38,6 +38,8 @@ class UnknownPolicy:
     def __post_init__(self) -> None:
         if not self.sentinel:
             raise ValueError("sentinel must be non-empty")
+        if not all(pattern.strip() for pattern in self.extra_patterns):
+            raise ValueError("extra_patterns entries must be non-blank")
 
 
 DEFAULT_UNKNOWN_POLICY = UnknownPolicy()

@@ -61,6 +61,14 @@ def make_question(
     return Question(question_id=qid, text=text, gold_answers=answers, gold_passage_id=gold)
 
 
+def spy_backend(client) -> list:
+    """Record each request that reaches the client's backend (its _respond)."""
+    reached = []
+    respond = client._respond
+    client._respond = lambda request: reached.append(request) or respond(request)
+    return reached
+
+
 def write_config(path: Path, **fields) -> Path:
     """Write a YAML run config; corpus/questions default to the toy fixture."""
     config = {

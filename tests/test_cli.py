@@ -1,12 +1,14 @@
 """Tests for config loading, overrides, and the three CLI subcommands."""
 
 import gc
+import io
 import json
 import subprocess
 import sys
 import tempfile
 import threading
 import weakref
+from contextlib import redirect_stdout
 from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
@@ -245,6 +247,11 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
     with pytest.raises(ValueError, match="unknown_sentinel must be non-empty"):
         config.validate("run")
     config.unknown_sentinel = "unknown"
+    for patterns in ([""], ["   "], ["not stated", "\t"]):
+        config.unknown_patterns = patterns
+        with pytest.raises(ValueError, match="unknown_patterns entries must be non-blank"):
+            config.validate("run")
+    config.unknown_patterns = ["not stated"]
     config.nm_denominator = "some"
     with pytest.raises(ValueError, match="nm_denominator"):
         config.validate("run")
@@ -425,18 +432,24 @@ def test_cmd_run_is_deterministic_across_workers(tmp_path):
     ).read_bytes()
 
 
-def test_toy_run_bills_each_distinct_exchange_once(tmp_path, capsys, monkeypatch):
+def usage_lines(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().out.splitlines() if line.startswith("usage:")]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_toy_run_bills_each_distinct_exchange_once(tmp_path, capsys, monkeypatch, workers):
     billed = []
     respond = RuleClient._respond
     monkeypatch.setattr(
         RuleClient, "_respond", lambda self, request: billed.append(request) or respond(self, request)
     )
-    config_path = write_config(tmp_path / "run.yaml", out=tmp_path / "out", strategies="all")
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="all", workers=workers
+    )
     assert main(["run", "--config", str(config_path)]) == 0
     assert len(billed) == 133
     assert sum(count_tokens(request.prompt_text) for request in billed) == 22793
-    usage = [line for line in capsys.readouterr().out.splitlines() if line.startswith("usage:")]
-    assert usage == [
+    assert usage_lines(capsys) == [
         "usage: billed calls=133 prompt_tokens=22793 completion_tokens=175; "
         "attributed calls=234 prompt_tokens=33653 completion_tokens=294"
     ]
@@ -463,12 +476,16 @@ def test_cmd_run_sweep_produces_one_row_per_mode(tmp_path):
 
 def test_each_sweep_mode_writes_what_a_direct_run_at_that_mode_writes(tmp_path, capsys):
     cmd_run(run_config(tmp_path, strategies="all", placement="sweep"))
-    for mode in ("retrieval_order", "gold_top", "gold_bottom"):
+    swept = usage_lines(capsys)
+    modes = ("retrieval_order", "gold_top", "gold_bottom")
+    assert len(swept) == len(modes)
+    for mode, usage in zip(modes, swept):
         direct = tmp_path / "direct" / mode
         cmd_run(run_config(tmp_path, strategies="all", placement=mode, out=direct))
+        # each mode bills its own calls, not a running total of the sweep
+        assert usage_lines(capsys) == [usage]
         for name in ("traces.jsonl", "records.jsonl", "tokens.csv", "report.json"):
             assert (tmp_path / "out" / mode / name).read_bytes() == (direct / name).read_bytes()
-    capsys.readouterr()
 
 
 def write_scene(root: Path, title: str, text: str, question: str) -> tuple[Path, Path]:
@@ -528,6 +545,41 @@ def test_run_matches_the_oracle_or_rejects_text_that_would_split_a_prompt(
         assert row.unknown_rate == want[row.strategy]["unknown_rate"], row.strategy
         assert row.no_match_rate == want[row.strategy]["no_match_rate"], row.strategy
         assert abs(row.f1_pct - want[row.strategy]["f1_pct"]) <= 1e-9, row.strategy
+
+
+@pytest.mark.parametrize("command", ["run", "filter"])
+@pytest.mark.parametrize(
+    "alias, patterns, read",
+    [
+        ("unknown", [], "Unknown"),
+        ("Answer: yes", [], "'yes'"),
+        ("not stated in the charter", ["not stated"], "Unknown"),
+    ],
+)
+def test_a_gold_alias_that_cannot_score_is_an_error(tmp_path, capsys, command, alias, patterns, read):
+    # The rule backend replies with the alias found in a passage; at these
+    # aliases that reply scored 0 EM where the oracle scores 100.
+    corpus, questions = tmp_path / "corpus.jsonl", tmp_path / "questions.jsonl"
+    documents = [
+        {"id": "charter", "title": "Charter", "text": f"The charter reads {alias} at its foot."},
+        {"id": "liss", "title": "Liss", "text": "The harbor of Liss shelters forty boats."},
+    ]
+    rows = [
+        {"id": "q1", "question": "what does the charter read at its foot", "answers": [alias]},
+        {"id": "q2", "question": "how many boats does Liss shelter", "answers": ["forty"]},
+    ]
+    for path, lines in ((corpus, documents), (questions, rows)):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    config_path = write_config(
+        tmp_path / "run.yaml", corpus=corpus, questions=questions, out=tmp_path / "out",
+        strategies="all", k=2, unknown_patterns=patterns,
+    )
+    assert main([command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {questions}: question 'q1': gold alias {alias!r} reads as {read} "
+        "when replied verbatim, so it can never score\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_run_with_precomputed_rankings(tmp_path, toy_questions, toy_passages):
@@ -737,36 +789,45 @@ class FlakyEndpoint:
         return 200, {"choices": [{"message": {"content": text}}]}
 
 
-def live_run(root: Path, endpoint: FlakyEndpoint, workers: int, out: str) -> int:
+def live_run(root: Path, endpoint: FlakyEndpoint, workers: int, out: str) -> tuple[int, str]:
+    """The exit code and the printed usage line ("" if none)."""
     config_path = write_config(
         root / "run.yaml", out=root / out, strategies="all", cache=root / "cache.jsonl",
         workers=workers, **_LIVE,
     )
-    with mock.patch.object(llm, "_http_transport", lambda *args: endpoint):
+    with (
+        mock.patch.object(llm, "_http_transport", lambda *args: endpoint),
+        redirect_stdout(io.StringIO()) as printed,
+    ):
         code = main(["run", "--config", str(config_path)])
     # A failed run returns only once its other workers have finished.
     assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
-    return code
+    usage = [line for line in printed.getvalue().splitlines() if line.startswith("usage:")]
+    return code, "".join(usage)
 
 
 @cache
-def uninterrupted_live_run() -> tuple[tuple[str, ...], bytes]:
+def uninterrupted_live_run() -> tuple[tuple[str, ...], bytes, str]:
     with tempfile.TemporaryDirectory() as tmp:
         endpoint = FlakyEndpoint()
-        assert live_run(Path(tmp), endpoint, 1, "out") == 0
-        return tuple(endpoint.answered), (Path(tmp) / "out" / "records.jsonl").read_bytes()
+        code, usage = live_run(Path(tmp), endpoint, 1, "out")
+        assert code == 0 and usage.startswith("usage: billed calls=")
+        records = (Path(tmp) / "out" / "records.jsonl").read_bytes()
+        return tuple(endpoint.answered), records, usage
 
 
 @settings(max_examples=25, deadline=None)
 @given(fail_after=st.integers(min_value=0, max_value=140), workers=st.sampled_from([1, 2]))
 def test_resumed_live_run_sends_each_distinct_payload_once(fail_after, workers):
-    full, records = uninterrupted_live_run()
+    full, records, usage = uninterrupted_live_run()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         first, resumed = FlakyEndpoint(fail_after), FlakyEndpoint()
         interrupted = fail_after < len(full)
-        assert live_run(root, first, workers, "first") == (2 if interrupted else 0)
-        assert live_run(root, resumed, workers, "resumed") == 0
+        assert live_run(root, first, workers, "first")[0] == (2 if interrupted else 0)
+        # the resumed run bills its cache hits too, so it bills what one
+        # uninterrupted run bills
+        assert live_run(root, resumed, workers, "resumed") == (0, usage)
         sent = first.answered + resumed.answered
         assert len(first.answered) == min(fail_after, len(full))
         assert sorted(sent) == sorted(full)

@@ -246,6 +246,9 @@ def test_classify_takes_a_non_sentinel_last_line_as_the_answer(line, before, aft
 def test_unknown_policy_requires_sentinel():
     with pytest.raises(ValueError):
         UnknownPolicy(sentinel="")
+    for patterns in (("",), (" \t",), ("not stated", "\n")):
+        with pytest.raises(ValueError, match="extra_patterns entries must be non-blank"):
+            UnknownPolicy(extra_patterns=patterns)
 
 
 def test_answer_type_invariants():

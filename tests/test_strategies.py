@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from conftest import make_passage, make_question
-from ragfuse.llm import LiveClient, RuleClient, ScriptClient, ScriptError
+from conftest import make_passage, make_question, spy_backend
+from ragfuse.llm import LiveClient, RuleClient, ScriptClient, ScriptError, count_tokens
 from ragfuse.prompts import UNKNOWN, Answer, PromptKind, extract_task
 from ragfuse.retriever import retrieve_top_k
 from ragfuse.strategies import (
@@ -229,21 +229,17 @@ def test_exchange_counts_per_strategy():
     assert len(run_pf_concat(PASSAGES, QUESTION, client).exchanges) == k + 1
 
 
-def test_trace_token_totals_match_exchanges_and_ledger():
+def test_trace_token_totals_match_exchanges_and_backend():
     client = RuleClient([QUESTION])
-
-    def billed_tokens() -> int:
-        usage = client.ledger.snapshot()
-        return usage["prompt_tokens"] + usage["completion_tokens"]
-
-    before = billed_tokens()
+    reached = spy_backend(client)
     trace = run_post_fusion(PASSAGES, QUESTION, client)
-    after = billed_tokens()
     assert trace.prompt_tokens_total == sum(e.response.prompt_tokens for e in trace.exchanges)
     assert trace.completion_tokens_total == sum(
         e.response.completion_tokens for e in trace.exchanges
     )
-    assert after - before == trace.prompt_tokens_total + trace.completion_tokens_total
+    # every exchange reached the backend; the rule backend reports no counts
+    assert [e.request for e in trace.exchanges] == reached
+    assert trace.prompt_tokens_total == sum(count_tokens(r.prompt_text) for r in reached)
 
 
 def test_strategies_are_deterministic():
@@ -293,23 +289,25 @@ def test_a_shared_memo_leaves_every_toy_trace_unchanged(toy_questions, toy_passa
         ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
         passages = [by_id[pid] for pid in ranked.passage_ids()]
         client = RuleClient(toy_questions)
+        reached = spy_backend(client)
         memo = {}
         shared = [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
         fresh = [run_strategy(s, passages, question, RuleClient(toy_questions)) for s in Strategy]
         assert shared == fresh
         # each distinct request reached the client once
         requests = {e.request for trace in shared for e in trace.exchanges}
-        assert client.ledger.calls == len(memo) == len(requests)
+        assert len(reached) == len(memo) == len(requests)
 
 
 def test_a_shared_memo_replays_a_script_without_extra_entries():
     entries = {"concat": "unknown", "pruning": "p", "summary": "s", "distill": "x"}
     entries.update({f"pf:{i}": "x" for i in range(len(PASSAGES))})
     client = script_for(entries)
+    reached = spy_backend(client)
     memo = {}
     shared = [run_strategy(s, PASSAGES, QUESTION, client, memo=memo) for s in Strategy]
     assert shared == [run_strategy(s, PASSAGES, QUESTION, script_for(entries)) for s in Strategy]
-    assert client.ledger.calls == len(entries)
+    assert len(reached) == len(entries)
 
 
 @pytest.mark.parametrize("reply, distill", [("unknown", 0), ("Paris", 1)])
