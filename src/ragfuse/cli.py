@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +49,14 @@ from .llm import (
     TransportError,
     load_script,
 )
-from .prompts import DEFAULT_SENTINEL, TEMPLATE_VERSION, Answer, UnknownPolicy, classify_response
+from .prompts import (
+    DEFAULT_SENTINEL,
+    TEMPLATE_VERSION,
+    Answer,
+    UnknownPolicy,
+    classify_response,
+    normalize_reply,
+)
 from .retriever import (
     Bm25Index,
     PlacementMode,
@@ -58,6 +66,7 @@ from .retriever import (
     load_rankings,
     ranked_list_from_ids,
     retrieve_top_k,
+    tokenize,
 )
 from .strategies import Exchange, Strategy, StrategyTrace, run_strategy
 
@@ -141,14 +150,17 @@ class RunConfig(RetrievalConfig):
         for name in ("workers", "max_response_tokens", "max_in_flight"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be > 0 and finite, got {self.timeout}")
         if self.nm_denominator not in NM_DENOMINATORS:
             raise ValueError(
                 f"nm_denominator must be one of {NM_DENOMINATORS}, got {self.nm_denominator!r}"
             )
-        if not self.unknown_sentinel:
-            raise ValueError("unknown_sentinel must be non-empty")
+        if not normalize_reply(self.unknown_sentinel):
+            raise ValueError(
+                f"unknown_sentinel must be non-empty once case, surrounding space and "
+                f"trailing punctuation are dropped, got {self.unknown_sentinel!r}"
+            )
         if not all(pattern.strip() for pattern in self.unknown_patterns):
             raise ValueError("unknown_patterns entries must be non-blank")
 
@@ -395,7 +407,10 @@ def _run_single(config: RunConfig) -> EvalReport:
     questions = _load_scorable_questions(config)
     by_id = {p.passage_id: p for p in passages}
     rankings = load_rankings(config.rankings) if config.rankings is not None else None
-    index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b) if rankings is None else None
+    index = None
+    if rankings is None:
+        terms = {term for question in questions for term in tokenize(question.text)}
+        index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b, terms=terms)
     client = make_client(config, questions)
     policy = config.policy()
 

@@ -28,6 +28,15 @@ class PromptKind(str, Enum):
     DISTILL = "distill"
 
 
+def normalize_reply(text: str) -> str:
+    """Lowercased, with surrounding space and trailing punctuation dropped:
+    the form in which a reply and the sentinel are compared."""
+    text = text.strip().lower()
+    while text and unicodedata.category(text[-1]).startswith("P"):
+        text = text[:-1]
+    return text.strip()
+
+
 @dataclass(frozen=True)
 class UnknownPolicy:
     """How model output is recognized as an Unknown outcome."""
@@ -36,8 +45,11 @@ class UnknownPolicy:
     extra_patterns: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.sentinel:
-            raise ValueError("sentinel must be non-empty")
+        if not normalize_reply(self.sentinel):
+            raise ValueError(
+                f"sentinel must be non-empty once case, surrounding space and trailing "
+                f"punctuation are dropped, got {self.sentinel!r}"
+            )
         if not all(pattern.strip() for pattern in self.extra_patterns):
             raise ValueError("extra_patterns entries must be non-blank")
 
@@ -261,16 +273,6 @@ def extract_task(prompt_text: str) -> TaskBlock:
     return TaskBlock(passages=tuple(passages), question=question, candidates=candidates)
 
 
-def _strip_terminal_punctuation(text: str) -> str:
-    while text and unicodedata.category(text[-1]).startswith("P"):
-        text = text[:-1]
-    return text
-
-
-def _matches_sentinel(text: str, sentinel: str) -> bool:
-    return _strip_terminal_punctuation(text.strip().lower()).strip() == sentinel.strip().lower()
-
-
 def classify_response(text: str, policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY) -> Answer:
     """Classify a raw model response as a textual answer or Unknown.
 
@@ -283,7 +285,8 @@ def classify_response(text: str, policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY)
     stripped = text.strip()
     if not stripped:
         return UNKNOWN
-    if _matches_sentinel(stripped, policy.sentinel):
+    sentinel = normalize_reply(policy.sentinel)
+    if normalize_reply(stripped) == sentinel:
         return UNKNOWN
     lowered = stripped.lower()
     if any(pattern.lower() in lowered for pattern in policy.extra_patterns):
@@ -293,6 +296,6 @@ def classify_response(text: str, policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY)
         last_line = last_line[len("answer:") :].strip()
     if not last_line:
         return UNKNOWN
-    if _matches_sentinel(last_line, policy.sentinel):
+    if normalize_reply(last_line) == sentinel:
         return UNKNOWN
     return Answer.of(last_line)

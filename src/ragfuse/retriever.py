@@ -5,16 +5,20 @@ from __future__ import annotations
 import heapq
 import math
 import random
-import re
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 from .corpus import CorpusError, Passage, Question, read_rows
 
-_TOKEN = re.compile(r"[0-9a-z]+")
+# A bytes.translate table that keeps the bytes of [0-9a-z] and turns every
+# other byte into a space.
+_TOKEN_BYTES = bytes(
+    byte if byte in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for byte in range(256)
+)
 
 
 class PlacementMode(str, Enum):
@@ -47,8 +51,8 @@ class RetrievalConfig:
                 f"k * max_passage_words must stay below the model input budget: "
                 f"{self.k} * {self.max_passage_words} >= {self.model_input_budget}"
             )
-        if self.bm25_k1 < 0:
-            raise ValueError("bm25_k1 must be >= 0")
+        if not 0 <= self.bm25_k1 < math.inf:
+            raise ValueError(f"bm25_k1 must be finite and >= 0, got {self.bm25_k1}")
         if not 0 <= self.bm25_b <= 1:
             raise ValueError("bm25_b must be in [0, 1]")
 
@@ -63,8 +67,13 @@ class RankedList:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, then take the maximal runs of ASCII letters and digits."""
-    return _TOKEN.findall(text.lower())
+    """Lowercase, then take the maximal runs of ASCII letters and digits.
+
+    Every character the ASCII encoding cannot hold (lone surrogates too)
+    becomes "?", which the byte table turns into a space like any other
+    separator; only [0-9a-z] and spaces reach the split.
+    """
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 class Bm25Index:
@@ -81,29 +90,44 @@ class Bm25Index:
     weighed. A query costs the postings of its own terms, plus O(M log k) to
     pick the top k of the M passages they touch with a k-sized heap.
 
+    Given ``terms``, the build still records every passage's length but
+    appends the occurrences of those terms only (BM25 needs df and tf of
+    the query terms alone); N, every df and the average length are those of
+    the full index, so the scores are bitwise the same. A query with a term
+    outside ``terms`` is then a ValueError.
+
     With several worker threads, two may weigh the same term at once: both
     compute identical arrays and a dict store is atomic, so no lock is
     needed.
     """
 
-    def __init__(self, passages: list[Passage], k1: float = 1.2, b: float = 0.75):
+    def __init__(
+        self,
+        passages: list[Passage],
+        k1: float = 1.2,
+        b: float = 0.75,
+        terms: Iterable[str] | None = None,
+    ):
         if not passages:
             raise ValueError("cannot build an index over an empty passage list")
-        # These ranges keep every weight > 0, which top-k selection relies on.
-        if k1 < 0:
-            raise ValueError("bm25_k1 must be >= 0")
+        # These ranges keep every weight > 0 and finite, which top-k selection
+        # relies on.
+        if not 0 <= k1 < math.inf:
+            raise ValueError(f"bm25_k1 must be finite and >= 0, got {k1}")
         if not 0 <= b <= 1:
             raise ValueError("bm25_b must be in [0, 1]")
         self.k1 = k1
         by_id = {p.passage_id: p for p in passages}
         # Stable id order fixes tie-breaking and score-summation order.
         self.passage_ids = sorted(by_id)
+        self._terms = None if terms is None else frozenset(terms)
+        keep = None if self._terms is None else self._terms.__contains__
         slot_lengths: list[int] = []
         occurrences: defaultdict[str, array] = defaultdict(lambda: array("i"))
         for slot, pid in enumerate(self.passage_ids):
             tokens = tokenize(by_id[pid].text)
             slot_lengths.append(len(tokens))
-            for term in tokens:
+            for term in tokens if keep is None else filter(keep, tokens):
                 occurrences[term].append(slot)
         self._occurrences = dict(occurrences)
         self.avg_length = sum(slot_lengths) / len(slot_lengths)
@@ -117,9 +141,12 @@ class Bm25Index:
         self._weights: dict[str, tuple[array, array]] = {}
 
     def _posting(self, term: str) -> tuple[array, array] | None:
-        """The term's (slots, weights) arrays, weighed on first use; None if unindexed."""
+        """The term's (slots, weights) arrays, weighed on first use; None if
+        no passage holds it. ValueError for a term the build was not given."""
         posting = self._weights.get(term)
         if posting is None:
+            if self._terms is not None and term not in self._terms:
+                raise ValueError(f"term {term!r} is not among the terms this index was built for")
             slots = self._occurrences.get(term)
             if slots is None:
                 return None
@@ -158,8 +185,13 @@ class Bm25Index:
         return totals
 
 
-def build_index(passages: list[Passage], k1: float = 1.2, b: float = 0.75) -> Bm25Index:
-    return Bm25Index(passages, k1=k1, b=b)
+def build_index(
+    passages: list[Passage],
+    k1: float = 1.2,
+    b: float = 0.75,
+    terms: Iterable[str] | None = None,
+) -> Bm25Index:
+    return Bm25Index(passages, k1=k1, b=b, terms=terms)
 
 
 def retrieve_top_k(index: Bm25Index, query: str, k: int, question_id: str = "") -> RankedList:

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import ragfuse.cli as cli
 import ragfuse.llm as llm
 from conftest import FIXTURES, checkout_env, run_python, write_config
-from oracles import simulate_rule_run
+from oracles import bm25_rank, simulate_rule_run
 from ragfuse.cli import (
     RunConfig,
     apply_overrides,
@@ -33,7 +34,7 @@ from ragfuse.cli import (
     main,
     parse_strategies,
 )
-from ragfuse.corpus import CorpusError, load_questions
+from ragfuse.corpus import CorpusError, chunk_corpus, load_corpus, load_questions
 from ragfuse.llm import CompletionRequest, ResponseCache, RuleClient, ScriptClient, count_tokens
 from ragfuse.prompts import TASK_DELIMITER
 from ragfuse.retriever import RetrievalConfig, apply_gold_placement, retrieve_top_k
@@ -243,9 +244,10 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
     with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
         config.validate("run")
     config.max_in_flight = 4
-    config.unknown_sentinel = ""
-    with pytest.raises(ValueError, match="unknown_sentinel must be non-empty"):
-        config.validate("run")
+    for sentinel in ("", "?", " ... "):
+        config.unknown_sentinel = sentinel
+        with pytest.raises(ValueError, match="unknown_sentinel must be non-empty"):
+            config.validate("run")
     config.unknown_sentinel = "unknown"
     for patterns in ([""], ["   "], ["not stated", "\t"]):
         config.unknown_patterns = patterns
@@ -256,14 +258,48 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
     with pytest.raises(ValueError, match="nm_denominator"):
         config.validate("run")
     config.nm_denominator = "pool"
-    for timeout in (0, -1.0):
+    for timeout in (0, -1.0, math.nan, math.inf):
         config.timeout = timeout
         with pytest.raises(ValueError, match="timeout must be > 0"):
             config.validate("run")
     config.timeout = 60.0
+    for k1 in (-0.5, math.nan, math.inf):
+        config.bm25_k1 = k1
+        with pytest.raises(ValueError, match="bm25_k1 must be finite and >= 0"):
+            config.validate("run")
+    config.bm25_k1 = 1.2
     config.corpus = tmp_path / "missing.jsonl"
     with pytest.raises(ValueError, match="corpus file not found"):
         config.validate("run")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("bm25_k1", math.nan, "bm25_k1 must be finite and >= 0, got nan"),
+        ("bm25_k1", math.inf, "bm25_k1 must be finite and >= 0, got inf"),
+        ("timeout", math.nan, "timeout must be > 0 and finite, got nan"),
+        ("timeout", math.inf, "timeout must be > 0 and finite, got inf"),
+        (
+            "unknown_sentinel", "?",
+            "unknown_sentinel must be non-empty once case, surrounding space and "
+            "trailing punctuation are dropped, got '?'",
+        ),
+    ],
+)
+def test_main_rejects_a_nonfinite_float_or_an_empty_sentinel_before_any_call(
+    tmp_path, capsys, key, value, message
+):
+    # k1 at .nan or .inf used to run to exit 0 on NaN weights; timeout at .inf
+    # died in socket.settimeout, and at .nan only at the first live call.
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", **_LIVE, **{key: value}
+    )
+    refuse = mock.patch.object(llm.LiveClient, "_send_with_retries", side_effect=AssertionError)
+    with refuse as sent:
+        assert main(["run", "--config", str(config_path)]) == 2
+    assert not sent.called and not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_guard_runs_before_any_client_exists(tmp_path, monkeypatch):
@@ -457,6 +493,56 @@ def test_toy_run_bills_each_distinct_exchange_once(tmp_path, capsys, monkeypatch
     columns = list(zip(*(row.split(",") for row in rows)))
     assert sum(map(int, columns[2])) == 234
     assert sum(map(int, columns[3])) == 33653
+
+
+def test_a_sentinel_ending_in_punctuation_scores_as_the_default_does(tmp_path, capsys):
+    # The rule backend replies "unknown." verbatim; it used to read as an
+    # answer, so every strategy scored Unk% 0.0.
+    for name, sentinel in (("default", "unknown"), ("dotted", "unknown.")):
+        config_path = write_config(
+            tmp_path / f"{name}.yaml", out=tmp_path / name, strategies="all",
+            unknown_sentinel=sentinel,
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+    for artifact in ("report.json", "records.jsonl"):
+        default = (tmp_path / "default" / artifact).read_bytes()
+        assert (tmp_path / "dotted" / artifact).read_bytes() == default, artifact
+    report = json.loads((tmp_path / "dotted" / "report.json").read_text(encoding="utf-8"))
+    assert all(row["unknown_rate"] > 0 for row in report["strategies"])
+
+
+def test_retrieval_over_non_ascii_text_matches_the_oracle_ranking(tmp_path):
+    # The run indexes only its questions' terms; the toy fixture is pure ASCII.
+    documents = [
+        ("koln", "K\u00f6ln", "K\u00f6ln Cathedral stands on the Rhine in K\u00f6ln; caf\u00e9s line the square."),
+        ("istanbul", "\u0130stanbul", "\u0130stanbul spans the Bosporus; the KELVIN scale reads 300\u212a here."),
+        ("nbsp", "Na\u00efve", "na\u00efve\u00a0caf\u00e9 \u2014 stra\u00dfe\x85rhine\x1cbosporus"),
+        ("plain", "Plain", "The river and the strait are both crossed by ferries every hour."),
+        ("scale", "Scale", "kelvin k 300 scale reads degrees \ud7ff done"),
+    ]
+    questions = [
+        ("q1", "which river runs through K\u00f6ln", "Rhine"),
+        ("q2", "what does \u0130stanbul span", "the Bosporus"),
+        ("q3", "the k\u212aelvin scale caf\u00e9", "300\u212a"),
+    ]
+    corpus_path, questions_path = tmp_path / "corpus.jsonl", tmp_path / "questions.jsonl"
+    corpus_path.write_text(
+        "".join(json.dumps({"id": i, "title": t, "text": x}) + "\n" for i, t, x in documents),
+        encoding="utf-8",
+    )
+    questions_path.write_text(
+        "".join(json.dumps({"id": i, "question": q, "answers": [a]}) + "\n" for i, q, a in questions),
+        encoding="utf-8",
+    )
+    config = run_config(
+        tmp_path, corpus=corpus_path, questions=questions_path, strategies="concat", k=3
+    )
+    cmd_run(config)
+    texts = {p.passage_id: p.text for p in chunk_corpus(load_corpus(corpus_path), 100)}
+    traces = [json.loads(line) for line in (tmp_path / "out" / "traces.jsonl").read_text().splitlines()]
+    assert [trace["question_id"] for trace in traces] == ["q1", "q2", "q3"]
+    for trace, (_, question, _) in zip(traces, questions):
+        assert trace["passage_ids"] == bm25_rank(texts, question)[:3], question
 
 
 def test_cmd_run_sweep_produces_one_row_per_mode(tmp_path):

@@ -201,6 +201,11 @@ def test_classify_custom_sentinel():
     policy = UnknownPolicy(sentinel="no answer")
     assert classify_response("No answer.", policy).is_unknown
     assert not classify_response("unknown", policy).is_unknown
+    # The sentinel loses its trailing punctuation as the reply does; it used
+    # not to, so "unknown." never read as Unknown.
+    dotted = UnknownPolicy(sentinel="unknown.")
+    for reply in ("unknown.", "unknown", "Answer: Unknown!", "UNKNOWN.."):
+        assert classify_response(reply, dotted).is_unknown, reply
 
 
 @given(st.text(max_size=80))
@@ -244,8 +249,9 @@ def test_classify_takes_a_non_sentinel_last_line_as_the_answer(line, before, aft
 
 
 def test_unknown_policy_requires_sentinel():
-    with pytest.raises(ValueError):
-        UnknownPolicy(sentinel="")
+    for sentinel in ("", "?", " .!\u2026 "):
+        with pytest.raises(ValueError, match="sentinel must be non-empty"):
+            UnknownPolicy(sentinel=sentinel)
     for patterns in (("",), (" \t",), ("not stated", "\n")):
         with pytest.raises(ValueError, match="extra_patterns entries must be non-blank"):
             UnknownPolicy(extra_patterns=patterns)

@@ -1,11 +1,12 @@
 """Top-k retrieval and gold placement edge cases, checked against the oracles."""
 
+import math
 import re
 import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_passage, make_question
@@ -95,8 +96,9 @@ def test_corpus_without_tokens_builds_and_scores_zero():
 
 
 def test_index_rejects_parameters_that_allow_nonpositive_weights():
-    with pytest.raises(ValueError, match="bm25_k1"):
-        build_index(SIX, k1=-0.5)
+    for k1 in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bm25_k1"):
+            build_index(SIX, k1=k1)
     with pytest.raises(ValueError, match="bm25_b"):
         build_index(SIX, b=1.5)
 
@@ -124,6 +126,21 @@ def test_topk_and_scores_match_oracle_on_random_corpora(case):
 
 def score_bits(index, query: str) -> dict[int, str]:
     return {slot: score.hex() for slot, score in index.slot_scores(query).items()}
+
+
+@given(corpus_and_query(), st.sets(st.sampled_from(WORDS + ["unseen"])), st.data())
+def test_an_index_of_some_terms_scores_their_queries_as_the_full_index_does(case, terms, data):
+    passages, _, k = case
+    full = build_index(passages)
+    partial = build_index(passages, terms=terms)
+    query = " ".join(data.draw(st.lists(st.sampled_from(sorted(terms) or ["!"]), max_size=5)))
+    assert partial.scores(query) == full.scores(query)
+    assert retrieve_top_k(partial, query, k) == retrieve_top_k(full, query, k)
+    assert score_bits(partial, query) == score_bits(full, query)
+    # "zeta" is in neither the terms nor the corpus: still an error, not a zero.
+    other = data.draw(st.sampled_from([w for w in WORDS + ["unseen"] if w not in terms] + ["zeta"]))
+    with pytest.raises(ValueError, match=f"term {other!r} is not among"):
+        partial.scores(f"{query} {other.upper()}")
 
 
 @given(
@@ -171,6 +188,14 @@ def test_threads_racing_the_first_use_of_a_term_get_the_single_threaded_scores()
 
 
 @given(st.text())
+# st.text() draws no lone surrogates. Kelvin sign and dotted capital I lower
+# to ASCII letters; the rest are separators that str.split() also splits on.
+@example("a\ud800b")
+@example("\u212a")
+@example("\u0130stanbul")
+@example("a\x1cb")
+@example("a\x85b")
+@example("a\u00a0b")
 def test_tokenize_equals_split_and_filter(text):
     split = [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]
     assert tokenize(text) == split
