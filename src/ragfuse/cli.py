@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -152,6 +153,10 @@ class RunConfig(RetrievalConfig):
                 raise ValueError(f"{name} must be >= 1")
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be > 0 and finite, got {self.timeout}")
+        if self.timeout > threading.TIMEOUT_MAX:  # socket.settimeout's limit
+            raise ValueError(
+                f"timeout must be at most {threading.TIMEOUT_MAX} s, got {self.timeout}"
+            )
         if self.nm_denominator not in NM_DENOMINATORS:
             raise ValueError(
                 f"nm_denominator must be one of {NM_DENOMINATORS}, got {self.nm_denominator!r}"
@@ -234,8 +239,24 @@ def make_client(config: RunConfig, questions: Sequence[Question]) -> CompletionC
     )
 
 
-def _json_line(record: object) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+# Built once: json.dumps builds an encoder per call when given options.
+_ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+_ENCODE_ASCII = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_line(record: dict, spliced: str | None = None) -> str:
+    """The record as one line of sorted-key JSON, non-ASCII text kept as is.
+
+    Given ``spliced``, record[spliced] is a sequence of JSON texts, written as
+    the list of the values they encode: the same bytes as encoding the list.
+    """
+    if spliced is None:
+        return _ENCODE(record) + "\n"
+    # Only a key is followed by ": ", and a key is a field name, so the first
+    # match is the spliced key's own.
+    slot = f'"{spliced}": '
+    head, _, tail = _ENCODE({**record, spliced: None}).partition(slot + "null")
+    return f"{head}{slot}[{', '.join(record[spliced])}]{tail}\n"
 
 
 def question_to_dict(question: Question) -> dict:
@@ -268,18 +289,40 @@ def _exchange_to_dict(exchange: Exchange) -> dict:
     }
 
 
-def trace_to_dict(trace: StrategyTrace) -> dict:
-    """Every trace field; an Answer becomes its text, an Exchange its flat row."""
+def _exchange_json(exchange: Exchange, encoded: dict[int, str]) -> str:
+    """The exchange's row as JSON text, encoded once per Exchange object."""
+    text = encoded.get(id(exchange))
+    if text is None:
+        row = _exchange_to_dict(exchange)
+        text = _ENCODE_ASCII(row)
+        # Without a \u escape, every character was printable ASCII or had a
+        # short escape, which both encodings write alike.
+        if "\\u" in text:
+            text = _ENCODE(row)
+        encoded[id(exchange)] = text
+    return text
+
+
+def trace_to_dict(trace: StrategyTrace, encoded: dict[int, str] | None = None) -> dict:
+    """Every trace field; an Answer becomes its text, an Exchange its flat row.
+
+    Given ``encoded``, an Exchange becomes its row's JSON text instead, for
+    ``_json_line(row, "exchanges")`` to splice. ``encoded`` keeps each text
+    under its Exchange's id, so an exchange that a question's traces share is
+    encoded once; the caller keeps those exchanges alive while it uses it.
+    """
     row = {}
     for name in _TRACE_FIELDS:
         value = getattr(trace, name)
         if isinstance(value, Answer):
             value = value.text
         elif isinstance(value, tuple) and value and not isinstance(value[0], str):
-            value = [
-                item.text if isinstance(item, Answer) else _exchange_to_dict(item)
-                for item in value
-            ]
+            if isinstance(value[0], Answer):
+                value = [answer.text for answer in value]
+            elif encoded is None:
+                value = [_exchange_to_dict(exchange) for exchange in value]
+            else:
+                value = [_exchange_json(exchange, encoded) for exchange in value]
         row[name] = value
     return row
 
@@ -416,7 +459,7 @@ def _run_single(config: RunConfig) -> EvalReport:
 
     def work(
         question: Question,
-    ) -> tuple[list[tuple[StrategyTrace, EvalRecord]], Iterable[CompletionResponse]]:
+    ) -> tuple[list[tuple[StrategyTrace, EvalRecord]], list[CompletionResponse]]:
         """The question's (trace, record) pairs, and the responses its
         strategies got from the client, one per distinct request."""
         selected = _passages_for_question(question, index, rankings, by_id, config)
@@ -435,7 +478,7 @@ def _run_single(config: RunConfig) -> EvalReport:
                 memo=memo,
             )
             results.append((trace, score_trace(trace, question)))
-        return results, memo.values()
+        return results, [exchange.response for exchange, _ in memo.values()]
 
     config.out.mkdir(parents=True, exist_ok=True)
     all_records: list[EvalRecord] = []
@@ -455,10 +498,12 @@ def _run_single(config: RunConfig) -> EvalReport:
             results: Iterable = executor.map(work, questions) if executor else map(work, questions)
             for per_question, billed in results:
                 _tally(usage["billed"], billed)
+                # Exchange id -> JSON text; the question's traces share exchanges.
+                encoded: dict[int, str] = {}
                 for trace, record in per_question:
                     all_records.append(record)
                     _tally(usage["attributed"], (e.response for e in trace.exchanges))
-                    traces_file.write(_json_line(trace_to_dict(trace)))
+                    traces_file.write(_json_line(trace_to_dict(trace, encoded), "exchanges"))
                     records_file.write(_json_line(record_to_dict(record)))
                     tokens.writerow(
                         (record.strategy, record.question_id, len(trace.exchanges),

@@ -25,14 +25,23 @@ _ARTICLES = frozenset({"a", "an", "the"})
 NM_DENOMINATORS = ("pool", "all")
 
 
-def _is_punctuation(char: str) -> bool:
-    return unicodedata.category(char).startswith("P")
+class _PunctuationTable(dict):
+    """A str.translate table that deletes punctuation (Unicode category P*)
+    and keeps every other code point, filled as code points are first seen.
+    Threads that fill one entry at once store the same value."""
+
+    def __missing__(self, code: int) -> int | None:
+        kept = None if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = kept
+        return kept
+
+
+_DELETE_PUNCTUATION = _PunctuationTable()
 
 
 def normalize_answer(text: str) -> str:
     """Lowercase, delete punctuation, drop articles, collapse whitespace."""
-    lowered = text.lower()
-    no_punct = "".join(ch for ch in lowered if not _is_punctuation(ch))
+    no_punct = text.lower().translate(_DELETE_PUNCTUATION)
     tokens = [tok for tok in no_punct.split() if tok not in _ARTICLES]
     return " ".join(tokens)
 

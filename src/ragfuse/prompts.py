@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import Passage, Question
@@ -43,15 +43,19 @@ class UnknownPolicy:
 
     sentinel: str = DEFAULT_SENTINEL
     extra_patterns: tuple[str, ...] = ()
+    # The sentinel in normal form, derived once for every classification.
+    normalized_sentinel: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not normalize_reply(self.sentinel):
+        normalized = normalize_reply(self.sentinel)
+        if not normalized:
             raise ValueError(
                 f"sentinel must be non-empty once case, surrounding space and trailing "
                 f"punctuation are dropped, got {self.sentinel!r}"
             )
         if not all(pattern.strip() for pattern in self.extra_patterns):
             raise ValueError("extra_patterns entries must be non-blank")
+        object.__setattr__(self, "normalized_sentinel", normalized)
 
 
 DEFAULT_UNKNOWN_POLICY = UnknownPolicy()
@@ -233,6 +237,7 @@ def render_closed_book(question: Question, sentinel: str = DEFAULT_SENTINEL) -> 
     )
 
 
+_PASSAGE_PREFIX = "Passage "
 _PASSAGE_LINE = re.compile(r"^Passage \d+: (.*)$")
 _CANDIDATES_PREFIX = "Candidates: "
 _QUESTION_PREFIX = "Question: "
@@ -263,7 +268,7 @@ def extract_task(prompt_text: str) -> TaskBlock:
     question: str | None = None
     candidates: tuple[str, ...] = ()
     for line in lines:
-        match = _PASSAGE_LINE.match(line)
+        match = line.startswith(_PASSAGE_PREFIX) and _PASSAGE_LINE.match(line)
         if match:
             passages.append(match.group(1))
         elif line.startswith(_QUESTION_PREFIX):
@@ -285,7 +290,7 @@ def classify_response(text: str, policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY)
     stripped = text.strip()
     if not stripped:
         return UNKNOWN
-    sentinel = normalize_reply(policy.sentinel)
+    sentinel = policy.normalized_sentinel
     if normalize_reply(stripped) == sentinel:
         return UNKNOWN
     lowered = stripped.lower()

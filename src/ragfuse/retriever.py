@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from array import array
 from collections import Counter, defaultdict
@@ -19,6 +20,14 @@ from .corpus import CorpusError, Passage, Question, read_rows
 _TOKEN_BYTES = bytes(
     byte if byte in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for byte in range(256)
 )
+
+
+def _finite(value: float) -> bool:
+    """Whether value is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 class PlacementMode(str, Enum):
@@ -51,7 +60,7 @@ class RetrievalConfig:
                 f"k * max_passage_words must stay below the model input budget: "
                 f"{self.k} * {self.max_passage_words} >= {self.model_input_budget}"
             )
-        if not 0 <= self.bm25_k1 < math.inf:
+        if not (_finite(self.bm25_k1) and self.bm25_k1 >= 0):
             raise ValueError(f"bm25_k1 must be finite and >= 0, got {self.bm25_k1}")
         if not 0 <= self.bm25_b <= 1:
             raise ValueError("bm25_b must be in [0, 1]")
@@ -110,9 +119,9 @@ class Bm25Index:
     ):
         if not passages:
             raise ValueError("cannot build an index over an empty passage list")
-        # These ranges keep every weight > 0 and finite, which top-k selection
-        # relies on.
-        if not 0 <= k1 < math.inf:
+        # These ranges, and the check on the longest passage below, keep every
+        # weight > 0 and finite, which top-k selection relies on.
+        if not (_finite(k1) and k1 >= 0):
             raise ValueError(f"bm25_k1 must be finite and >= 0, got {k1}")
         if not 0 <= b <= 1:
             raise ValueError("bm25_b must be in [0, 1]")
@@ -138,6 +147,18 @@ class Bm25Index:
             self._k1_norms = [
                 k1 * (1.0 - b + b * length / self.avg_length) for length in slot_lengths
             ]
+            # Each factor of a weight, idf * tf * (k1 + 1.0) / (tf + k1_norm),
+            # is largest at df 1 and at the longest passage's length and norm.
+            longest = max(slot_lengths)
+            top_idf = math.log(1.0 + (len(slot_lengths) - 1 + 0.5) / (1 + 0.5))
+            if not (
+                math.isfinite(top_idf * longest * (k1 + 1.0))
+                and math.isfinite(longest + max(self._k1_norms))
+            ):
+                raise ValueError(
+                    f"bm25_k1 {k1} is too large for this corpus: the BM25 weights of its "
+                    f"longest passage ({longest} tokens) overflow"
+                )
         self._weights: dict[str, tuple[array, array]] = {}
 
     def _posting(self, term: str) -> tuple[array, array] | None:
@@ -207,9 +228,9 @@ def retrieve_top_k(index: Bm25Index, query: str, k: int, question_id: str = "") 
         raise ValueError(f"k must be >= 1, got {k}")
     scored = index.slot_scores(query)
     # Slots follow passage_id order, so (-score, slot) is (-score, passage_id).
-    top = heapq.nsmallest(k, scored.items(), key=lambda item: (-item[1], item[0]))
+    top = heapq.nsmallest(k, zip(map(operator.neg, scored.values()), scored))
     ids = index.passage_ids
-    entries = [(ids[slot], score) for slot, score in top]
+    entries = [(ids[slot], -negated) for negated, slot in top]
     slot = 0
     while len(entries) < k and slot < len(ids):
         if slot not in scored:

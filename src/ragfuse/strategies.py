@@ -96,7 +96,7 @@ def run_strategy(
     client: CompletionClient,
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
-    memo: dict[CompletionRequest, CompletionResponse] | None = None,
+    memo: dict[CompletionRequest, tuple[Exchange, Answer]] | None = None,
 ) -> StrategyTrace:
     """Run one strategy on one question's passages.
 
@@ -106,13 +106,17 @@ def run_strategy(
     concat call and falls back to the round on Unknown; pf_concat runs the
     round, then distills the surviving answers in one more call.
 
-    A request found in ``memo`` is answered from it without calling the
-    client, and every response the client returns is added to it. Passing
-    one memo to all strategies of a question sends each distinct request
-    once: concat_pf repeats the concat request, and concat_pf and pf_concat
-    repeat post_fusion's per-passage calls. The whole request, question
-    id and exchange key included, is the key. The trace records every
-    exchange, memo hits too, so its tokens are attributed, not billed.
+    ``memo`` maps each request the client answered to its exchange and
+    the answer classified from it. A request found there is answered
+    without calling the client or classifying again, and its trace records
+    that same Exchange object. Passing one memo to all strategies of a
+    question sends each distinct request once: concat_pf repeats the
+    concat request, and concat_pf and pf_concat repeat post_fusion's
+    per-passage calls. The whole request, question id and exchange key
+    included, is the key; the answers are those of the policy that filled
+    the memo, so share one only among calls with the same policy. The trace
+    records every exchange, memo hits too, so its tokens are attributed,
+    not billed.
     """
     if not passages:
         raise ValueError("strategy needs at least one passage")
@@ -129,16 +133,18 @@ def run_strategy(
             question_id=question.question_id,
             exchange_key=exchange_key or kind.value,
         )
-        response = memo.get(request)
-        if response is None:
+        held = memo.get(request)
+        if held is None:
             try:
                 response = client.complete(request)
             except Exception as exc:
                 exc.args = (f"question {question.question_id} ({request.exchange_key}): {exc}",)
                 raise
-            memo[request] = response
-        exchanges.append(Exchange(kind, request.exchange_key, request, response))
-        return classify_response(response.text, policy)
+            exchange = Exchange(kind, request.exchange_key, request, response)
+            held = memo[request] = (exchange, classify_response(response.text, policy))
+        exchange, answer = held
+        exchanges.append(exchange)
+        return answer
 
     def finish(final: Answer, rounds_used: int, **outcome: object) -> StrategyTrace:
         return StrategyTrace(

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import ragfuse.cli as cli
 import ragfuse.llm as llm
-from conftest import FIXTURES, checkout_env, run_python, write_config
+from conftest import FIXTURES, checkout_env, make_passage, make_question, run_python, write_config
 from oracles import bm25_rank, simulate_rule_run
 from ragfuse.cli import (
     RunConfig,
@@ -38,7 +38,7 @@ from ragfuse.corpus import CorpusError, chunk_corpus, load_corpus, load_question
 from ragfuse.llm import CompletionRequest, ResponseCache, RuleClient, ScriptClient, count_tokens
 from ragfuse.prompts import TASK_DELIMITER
 from ragfuse.retriever import RetrievalConfig, apply_gold_placement, retrieve_top_k
-from ragfuse.strategies import Strategy
+from ragfuse.strategies import Strategy, run_strategy
 
 
 def test_parse_strategies_accepts_all_forms():
@@ -262,8 +262,16 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
         config.timeout = timeout
         with pytest.raises(ValueError, match="timeout must be > 0"):
             config.validate("run")
+    # socket.settimeout takes at most threading.TIMEOUT_MAX seconds.
+    for timeout in (1.0e300, 10**400, threading.TIMEOUT_MAX * 2):
+        config.timeout = timeout
+        with pytest.raises(ValueError, match="timeout must be at most"):
+            config.validate("run")
+    config.timeout = threading.TIMEOUT_MAX
+    config.validate("run")
     config.timeout = 60.0
-    for k1 in (-0.5, math.nan, math.inf):
+    # 10**400 is an int that no float holds.
+    for k1 in (-0.5, math.nan, math.inf, 10**400):
         config.bm25_k1 = k1
         with pytest.raises(ValueError, match="bm25_k1 must be finite and >= 0"):
             config.validate("run")
@@ -300,6 +308,79 @@ def test_main_rejects_a_nonfinite_float_or_an_empty_sentinel_before_any_call(
         assert main(["run", "--config", str(config_path)]) == 2
     assert not sent.called and not (tmp_path / "out").exists()
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (
+            "bm25_k1", 1.0e308,
+            "bm25_k1 1e+308 is too large for this corpus: the BM25 weights of its "
+            "longest passage",
+        ),
+        ("bm25_k1", 10**400, f"bm25_k1 must be finite and >= 0, got {10**400}"),
+        ("timeout", 1.0e300, "timeout must be at most"),
+    ],
+    ids=["k1_1e308", "k1_400_digits", "timeout_1e300"],
+)
+def test_main_rejects_a_finite_setting_too_large_to_use_before_any_call(
+    tmp_path, capsys, key, value, message
+):
+    # k1 at 1e308 used to run to exit 0 on overflowed weights, and 10**400 to
+    # end in an OverflowError traceback; timeout at 1e300 died at the first call.
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", **_LIVE, **{key: value}
+    )
+    refuse = mock.patch.object(llm.LiveClient, "_send_with_retries", side_effect=AssertionError)
+    with refuse as sent:
+        assert main(["run", "--config", str(config_path)]) == 2
+    assert not sent.called and not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def assert_spliced_lines_are_whole_lines(traces) -> None:
+    """Each trace's line with its exchanges spliced in, one encoding per
+    exchange object, is the line of its whole row."""
+    encoded: dict[int, str] = {}
+    for trace in traces:
+        row = cli.trace_to_dict(trace)
+        whole = json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
+        assert cli._json_line(row) == whole
+        assert cli._json_line(cli.trace_to_dict(trace, encoded), "exchanges") == whole
+    assert len(encoded) == len({id(e) for trace in traces for e in trace.exchanges})
+
+
+def test_spliced_trace_lines_match_on_every_toy_trace(toy_questions, toy_passages, toy_index):
+    by_id = {p.passage_id: p for p in toy_passages}
+    client = RuleClient(toy_questions)
+    for question in toy_questions:
+        ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
+        passages = [by_id[pid] for pid in ranked.passage_ids()]
+        memo: dict = {}
+        assert_spliced_lines_are_whole_lines(
+            [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
+        )
+
+
+# Non-ASCII text, DEL, a control character, a literal backslash-u, U+2028 and
+# JSON's own escapes: the ASCII encoding writes the first two differently.
+@pytest.mark.parametrize(
+    "odd", ["caf\u00e9", "a\x7fb", "a\x01b", "a \\u0041 b", "a\u2028b", '"q" \\']
+)
+@pytest.mark.parametrize("where", ["title", "text", "reply"])
+def test_spliced_trace_lines_match_on_any_text(odd, where):
+    title = {"title": f"Harbor {odd}"}.get(where, "Harbor")
+    text = {"text": f"the light is green {odd}"}.get(where, "the light is green")
+    passages = [make_passage("a#0", text, title=title), make_passage("b#0", "boats")]
+    question = make_question("q1", "what color is the light", ("green",))
+    reply = {"reply": f"green {odd}"}.get(where, "green")
+    keys = ("concat", "pruning", "summary", "distill", "pf:0", "pf:1")
+    client = ScriptClient({("q1", key): reply for key in keys})
+    memo: dict = {}
+    assert_spliced_lines_are_whole_lines(
+        [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
+    )
 
 
 def test_config_guard_runs_before_any_client_exists(tmp_path, monkeypatch):

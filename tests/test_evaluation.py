@@ -1,7 +1,9 @@
 """Tests for normalization, EM/F1, trace scoring, filtering, and aggregation."""
 
+import unicodedata
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_passage, make_question
@@ -36,6 +38,19 @@ def test_normalize_drops_articles_punctuation_and_extra_spaces():
 def test_normalize_is_idempotent(text):
     once = normalize_answer(text)
     assert normalize_answer(once) == once
+
+
+@given(st.text())
+# A curly apostrophe is punctuation; dotted capital I lowers to "i" plus a
+# combining mark, which stays; U+00A0 and U+3000 are spaces.
+@example("\u2019")
+@example("Jack\u2019s \u0130stanbul")
+@example("the\u00a0a\u3000b.")
+@example("\u0130")
+def test_normalize_deletes_each_punctuation_character_of_the_lowered_text(text):
+    kept = "".join(ch for ch in text.lower() if not unicodedata.category(ch).startswith("P"))
+    expected = " ".join(tok for tok in kept.split() if tok not in ("a", "an", "the"))
+    assert normalize_answer(text) == expected
 
 
 def test_exact_match_examples():

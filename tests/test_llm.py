@@ -8,6 +8,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_passage, make_question, run_python, spy_backend
 from ragfuse.llm import (
@@ -38,6 +40,21 @@ def test_count_tokens_is_a_whitespace_split():
     assert count_tokens("a b  c") == 3
     assert count_tokens("") == 0
     assert count_tokens("  leading and trailing  ") == 3
+
+
+@given(st.text() | st.text(st.characters(max_codepoint=0x7F)))
+# ASCII text is counted through a byte table; U+001C-U+001F are separators
+# that str.split() splits on but bytes.split() does not. U+0085, U+00A0 and
+# U+3000 are separators outside ASCII.
+@example("")
+@example("a\x1cb\x1dc\x1ed\x1fe")
+@example("\x1c\x1d \x1e\x1f")
+@example("a\x85b")
+@example("a\u00a0b")
+@example("a\u3000b")
+@example("\t\n\x0b\x0c\r word \x7f")
+def test_count_tokens_equals_the_length_of_a_whitespace_split(text):
+    assert count_tokens(text) == len(text.split())
 
 
 def test_count_tokens_additive_over_space_join():

@@ -96,11 +96,30 @@ def test_corpus_without_tokens_builds_and_scores_zero():
 
 
 def test_index_rejects_parameters_that_allow_nonpositive_weights():
-    for k1 in (-0.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="bm25_k1"):
+    # 10**400 is an int beyond the float range; it used to raise OverflowError.
+    for k1 in (-0.5, math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="bm25_k1 must be finite and >= 0"):
             build_index(SIX, k1=k1)
     with pytest.raises(ValueError, match="bm25_b"):
         build_index(SIX, b=1.5)
+
+
+def test_index_rejects_a_k1_whose_weights_overflow_on_its_longest_passage():
+    # 1e308 used to build, and its weights (inf, nan) ranked passages wrongly.
+    for k1 in (1.0e308, 10**308):
+        with pytest.raises(ValueError, match=r"too large for this corpus.*\(6 tokens\)"):
+            build_index(SIX, k1=k1)
+    # The limit depends on the corpus: one passage of one token takes 1e308.
+    one = build_index([make_passage("p0", "cat")], k1=1.0e308)
+    assert retrieve_top_k(one, "cat", 1).entries[0][1] > 0
+    # Below the limit, scores stay finite and bitwise the oracle's.
+    texts = {p.passage_id: p.text for p in SIX}
+    huge = build_index(SIX, k1=1.0e300)
+    expected = bm25_scores(texts, "cat sat", k1=1.0e300)
+    assert huge.scores("cat sat") == expected
+    assert all(math.isfinite(score) for score in expected.values())
+    ranked = retrieve_top_k(huge, "cat sat", 6).passage_ids()
+    assert ranked == bm25_rank(texts, "cat sat", k1=1.0e300)
 
 
 WORDS = ["alpha", "beta", "gamma", "delta", "eps"]

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+import ragfuse.strategies as strategies
 from conftest import make_passage, make_question, spy_backend
 from ragfuse.llm import LiveClient, RuleClient, ScriptClient, ScriptError, count_tokens
-from ragfuse.prompts import UNKNOWN, Answer, PromptKind, extract_task
+from ragfuse.prompts import UNKNOWN, Answer, PromptKind, classify_response, extract_task
 from ragfuse.retriever import retrieve_top_k
 from ragfuse.strategies import (
     Strategy,
@@ -297,6 +298,33 @@ def test_a_shared_memo_leaves_every_toy_trace_unchanged(toy_questions, toy_passa
         # each distinct request reached the client once
         requests = {e.request for trace in shared for e in trace.exchanges}
         assert len(reached) == len(memo) == len(requests)
+
+
+def test_a_memo_hit_reuses_the_exchange_and_its_classification(
+    toy_questions, toy_passages, toy_index, monkeypatch
+):
+    classified = []
+
+    def spy(text, policy):
+        classified.append(text)
+        return classify_response(text, policy)
+
+    monkeypatch.setattr(strategies, "classify_response", spy)
+    by_id = {p.passage_id: p for p in toy_passages}
+    client = RuleClient(toy_questions)
+    for question in toy_questions:
+        ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
+        passages = [by_id[pid] for pid in ranked.passage_ids()]
+        classified.clear()
+        memo = {}
+        traces = [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
+        exchanges = [e for trace in traces for e in trace.exchanges]
+        # every exchange of a request is the one object the memo holds
+        assert all(e is memo[e.request][0] for e in exchanges)
+        assert len({id(e) for e in exchanges}) == len(memo) < len(exchanges)
+        # one classification per distinct request, and hits return its answer
+        assert len(classified) == len(memo)
+        assert all(answer == classify_response(e.response.text) for e, answer in memo.values())
 
 
 def test_a_shared_memo_replays_a_script_without_extra_entries():
