@@ -241,7 +241,6 @@ def make_client(config: RunConfig, questions: Sequence[Question]) -> CompletionC
 
 # Built once: json.dumps builds an encoder per call when given options.
 _ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-_ENCODE_ASCII = json.JSONEncoder(sort_keys=True).encode
 
 
 def _json_line(record: dict, spliced: str | None = None) -> str:
@@ -293,13 +292,7 @@ def _exchange_json(exchange: Exchange, encoded: dict[int, str]) -> str:
     """The exchange's row as JSON text, encoded once per Exchange object."""
     text = encoded.get(id(exchange))
     if text is None:
-        row = _exchange_to_dict(exchange)
-        text = _ENCODE_ASCII(row)
-        # Without a \u escape, every character was printable ASCII or had a
-        # short escape, which both encodings write alike.
-        if "\\u" in text:
-            text = _ENCODE(row)
-        encoded[id(exchange)] = text
+        text = encoded[id(exchange)] = _ENCODE(_exchange_to_dict(exchange))
     return text
 
 

@@ -237,7 +237,6 @@ def render_closed_book(question: Question, sentinel: str = DEFAULT_SENTINEL) -> 
     )
 
 
-_PASSAGE_PREFIX = "Passage "
 _PASSAGE_LINE = re.compile(r"^Passage \d+: (.*)$")
 _CANDIDATES_PREFIX = "Candidates: "
 _QUESTION_PREFIX = "Question: "
@@ -268,7 +267,7 @@ def extract_task(prompt_text: str) -> TaskBlock:
     question: str | None = None
     candidates: tuple[str, ...] = ()
     for line in lines:
-        match = line.startswith(_PASSAGE_PREFIX) and _PASSAGE_LINE.match(line)
+        match = _PASSAGE_LINE.match(line)
         if match:
             passages.append(match.group(1))
         elif line.startswith(_QUESTION_PREFIX):

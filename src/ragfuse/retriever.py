@@ -6,6 +6,7 @@ import heapq
 import math
 import operator
 import random
+import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
@@ -20,14 +21,6 @@ from .corpus import CorpusError, Passage, Question, read_rows
 _TOKEN_BYTES = bytes(
     byte if byte in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for byte in range(256)
 )
-
-
-def _finite(value: float) -> bool:
-    """Whether value is a finite float, or an int that converts to one."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 class PlacementMode(str, Enum):
@@ -60,7 +53,7 @@ class RetrievalConfig:
                 f"k * max_passage_words must stay below the model input budget: "
                 f"{self.k} * {self.max_passage_words} >= {self.model_input_budget}"
             )
-        if not (_finite(self.bm25_k1) and self.bm25_k1 >= 0):
+        if not 0 <= self.bm25_k1 <= sys.float_info.max:
             raise ValueError(f"bm25_k1 must be finite and >= 0, got {self.bm25_k1}")
         if not 0 <= self.bm25_b <= 1:
             raise ValueError("bm25_b must be in [0, 1]")
@@ -121,7 +114,7 @@ class Bm25Index:
             raise ValueError("cannot build an index over an empty passage list")
         # These ranges, and the check on the longest passage below, keep every
         # weight > 0 and finite, which top-k selection relies on.
-        if not (_finite(k1) and k1 >= 0):
+        if not 0 <= k1 <= sys.float_info.max:
             raise ValueError(f"bm25_k1 must be finite and >= 0, got {k1}")
         if not 0 <= b <= 1:
             raise ValueError("bm25_b must be in [0, 1]")

@@ -364,7 +364,8 @@ def test_spliced_trace_lines_match_on_every_toy_trace(toy_questions, toy_passage
 
 
 # Non-ASCII text, DEL, a control character, a literal backslash-u, U+2028 and
-# JSON's own escapes: the ASCII encoding writes the first two differently.
+# JSON's own escapes; an ensure_ascii encoding would write some of them
+# differently.
 @pytest.mark.parametrize(
     "odd", ["caf\u00e9", "a\x7fb", "a\x01b", "a \\u0041 b", "a\u2028b", '"q" \\']
 )
