@@ -38,9 +38,9 @@ from .evaluation import (
     score_trace,
 )
 from .llm import (
+    Backend,
     BudgetError,
     CompletionClient,
-    CompletionResponse,
     LiveClient,
     ResponseCache,
     RuleClient,
@@ -71,7 +71,7 @@ from .retriever import (
 )
 from .strategies import Exchange, Strategy, StrategyTrace, run_strategy
 
-_BACKENDS = ("rule", "script", "live")
+_BACKENDS = tuple(backend.value for backend in Backend)
 _SWEEP = "sweep"
 _SWEEP_MODES = (PlacementMode.RETRIEVAL_ORDER, PlacementMode.GOLD_TOP, PlacementMode.GOLD_BOTTOM)
 _PLACEMENTS = (*(mode.value for mode in PlacementMode), _SWEEP)
@@ -243,19 +243,9 @@ def make_client(config: RunConfig, questions: Sequence[Question]) -> CompletionC
 _ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
-def _json_line(record: dict, spliced: str | None = None) -> str:
-    """The record as one line of sorted-key JSON, non-ASCII text kept as is.
-
-    Given ``spliced``, record[spliced] is a sequence of JSON texts, written as
-    the list of the values they encode: the same bytes as encoding the list.
-    """
-    if spliced is None:
-        return _ENCODE(record) + "\n"
-    # Only a key is followed by ": ", and a key is a field name, so the first
-    # match is the spliced key's own.
-    slot = f'"{spliced}": '
-    head, _, tail = _ENCODE({**record, spliced: None}).partition(slot + "null")
-    return f"{head}{slot}[{', '.join(record[spliced])}]{tail}\n"
+def _json_line(record: dict) -> str:
+    """The record as one line of sorted-key JSON, non-ASCII text kept as is."""
+    return _ENCODE(record) + "\n"
 
 
 def question_to_dict(question: Question) -> dict:
@@ -288,22 +278,10 @@ def _exchange_to_dict(exchange: Exchange) -> dict:
     }
 
 
-def _exchange_json(exchange: Exchange, encoded: dict[int, str]) -> str:
-    """The exchange's row as JSON text, encoded once per Exchange object."""
-    text = encoded.get(id(exchange))
-    if text is None:
-        text = encoded[id(exchange)] = _ENCODE(_exchange_to_dict(exchange))
-    return text
-
-
-def trace_to_dict(trace: StrategyTrace, encoded: dict[int, str] | None = None) -> dict:
-    """Every trace field; an Answer becomes its text, an Exchange its flat row.
-
-    Given ``encoded``, an Exchange becomes its row's JSON text instead, for
-    ``_json_line(row, "exchanges")`` to splice. ``encoded`` keeps each text
-    under its Exchange's id, so an exchange that a question's traces share is
-    encoded once; the caller keeps those exchanges alive while it uses it.
-    """
+def trace_to_dict(trace: StrategyTrace, exchange_ids: dict[int, int]) -> dict:
+    """Every trace field; an Answer becomes its text, an Exchange the id of its
+    row in exchanges.jsonl, which ``exchange_ids`` holds under the Exchange's
+    id()."""
     row = {}
     for name in _TRACE_FIELDS:
         value = getattr(trace, name)
@@ -312,10 +290,8 @@ def trace_to_dict(trace: StrategyTrace, encoded: dict[int, str] | None = None) -
         elif isinstance(value, tuple) and value and not isinstance(value[0], str):
             if isinstance(value[0], Answer):
                 value = [answer.text for answer in value]
-            elif encoded is None:
-                value = [_exchange_to_dict(exchange) for exchange in value]
             else:
-                value = [_exchange_json(exchange, encoded) for exchange in value]
+                value = [exchange_ids[id(exchange)] for exchange in value]
         row[name] = value
     return row
 
@@ -450,11 +426,9 @@ def _run_single(config: RunConfig) -> EvalReport:
     client = make_client(config, questions)
     policy = config.policy()
 
-    def work(
-        question: Question,
-    ) -> tuple[list[tuple[StrategyTrace, EvalRecord]], list[CompletionResponse]]:
-        """The question's (trace, record) pairs, and the responses its
-        strategies got from the client, one per distinct request."""
+    def work(question: Question) -> tuple[list[tuple[StrategyTrace, EvalRecord]], list[Exchange]]:
+        """The question's (trace, record) pairs, and its distinct exchanges,
+        each request that reached the client once, in first-seen order."""
         selected = _passages_for_question(question, index, rankings, by_id, config)
         # One memo per question: its strategies repeat each other's calls.
         # The whole question runs on one thread, so the memo needs no lock.
@@ -471,17 +445,18 @@ def _run_single(config: RunConfig) -> EvalReport:
                 memo=memo,
             )
             results.append((trace, score_trace(trace, question)))
-        return results, [exchange.response for exchange, _ in memo.values()]
+        return results, [exchange for exchange, _ in memo.values()]
 
     config.out.mkdir(parents=True, exist_ok=True)
     all_records: list[EvalRecord] = []
-    # Billed: the responses in the questions' memos, each request that reached
-    # the client once. Attributed: every exchange of the traces, memo hits too.
+    # Billed: the questions' distinct exchanges, each request that reached the
+    # client once. Attributed: every exchange of the traces, memo hits too.
     usage = {"billed": [0, 0, 0], "attributed": [0, 0, 0]}
     status, error_text = "complete", None
     executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     with (
         (config.out / "traces.jsonl").open("w", encoding="utf-8") as traces_file,
+        (config.out / "exchanges.jsonl").open("w", encoding="utf-8") as exchanges_file,
         (config.out / "records.jsonl").open("w", encoding="utf-8") as records_file,
         (config.out / "tokens.csv").open("w", encoding="utf-8", newline="") as tokens_file,
     ):
@@ -489,14 +464,24 @@ def _run_single(config: RunConfig) -> EvalReport:
         tokens.writerow(["strategy", "question_id", "calls", "prompt_tokens", "completion_tokens"])
         try:
             results: Iterable = executor.map(work, questions) if executor else map(work, questions)
-            for per_question, billed in results:
-                _tally(usage["billed"], billed)
-                # Exchange id -> JSON text; the question's traces share exchanges.
-                encoded: dict[int, str] = {}
+            rows = 0  # written to exchanges.jsonl
+            for per_question, exchanges in results:
+                # Keyed by id(): the question's exchanges stay alive until its
+                # traces are written, so no two of them share an id().
+                exchange_ids = {}
+                for row_id, exchange in enumerate(exchanges, start=rows):
+                    exchange_ids[id(exchange)] = row_id
+                    exchanges_file.write(_json_line({"id": row_id, **_exchange_to_dict(exchange)}))
+                    response = exchange.response
+                    _tally(usage["billed"], 1, response.prompt_tokens, response.completion_tokens)
+                rows += len(exchanges)
                 for trace, record in per_question:
                     all_records.append(record)
-                    _tally(usage["attributed"], (e.response for e in trace.exchanges))
-                    traces_file.write(_json_line(trace_to_dict(trace, encoded), "exchanges"))
+                    _tally(
+                        usage["attributed"], len(trace.exchanges),
+                        trace.prompt_tokens_total, trace.completion_tokens_total,
+                    )
+                    traces_file.write(_json_line(trace_to_dict(trace, exchange_ids)))
                     records_file.write(_json_line(record_to_dict(record)))
                     tokens.writerow(
                         (record.strategy, record.question_id, len(trace.exchanges),
@@ -527,12 +512,11 @@ def _run_single(config: RunConfig) -> EvalReport:
     return report
 
 
-def _tally(totals: list[int], responses: Iterable[CompletionResponse]) -> None:
-    """Add the responses to [calls, prompt tokens, completion tokens]."""
-    for response in responses:
-        totals[0] += 1
-        totals[1] += response.prompt_tokens
-        totals[2] += response.completion_tokens
+def _tally(totals: list[int], calls: int, prompt_tokens: int, completion_tokens: int) -> None:
+    """Add to [calls, prompt tokens, completion tokens]."""
+    totals[0] += calls
+    totals[1] += prompt_tokens
+    totals[2] += completion_tokens
 
 
 def _write_run_outputs(
@@ -557,7 +541,10 @@ def _write_run_outputs(
         "template_version": TEMPLATE_VERSION,
         "seed": config.seed,
         "config": config_to_dict(config),
-        "outputs": ["traces.jsonl", "records.jsonl", "report.json", "report.csv", "tokens.csv"],
+        "outputs": [
+            "traces.jsonl", "exchanges.jsonl", "records.jsonl", "report.json", "report.csv",
+            "tokens.csv",
+        ],
     }
     (config.out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -15,9 +15,9 @@ from .prompts import DEFAULT_SENTINEL, extract_task
 
 
 class Backend(str, Enum):
+    RULE = "rule"
+    SCRIPT = "script"
     LIVE = "live"
-    MOCK_RULE = "mock_rule"
-    MOCK_SCRIPT = "mock_script"
 
 
 class BudgetError(RuntimeError):
@@ -108,7 +108,7 @@ class RuleClient(CompletionClient):
     The question is found by the request's question_id, or, for a request
     without one, by the prompt's question line."""
 
-    backend = Backend.MOCK_RULE
+    backend = Backend.RULE
 
     def __init__(
         self,
@@ -151,7 +151,7 @@ class RuleClient(CompletionClient):
 class ScriptClient(CompletionClient):
     """Replay mock: responses looked up by (question_id, exchange_key)."""
 
-    backend = Backend.MOCK_SCRIPT
+    backend = Backend.SCRIPT
 
     def __init__(
         self,

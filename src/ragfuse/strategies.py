@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import Passage, Question
 from .evaluation import normalize_answer
@@ -96,7 +96,7 @@ def run_strategy(
     client: CompletionClient,
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
-    memo: dict[CompletionRequest, tuple[Exchange, Answer]] | None = None,
+    memo: dict[tuple, tuple[Exchange, Answer]] | None = None,
 ) -> StrategyTrace:
     """Run one strategy on one question's passages.
 
@@ -106,42 +106,52 @@ def run_strategy(
     concat call and falls back to the round on Unknown; pf_concat runs the
     round, then distills the surviving answers in one more call.
 
-    ``memo`` maps each request the client answered to its exchange and
-    the answer classified from it. A request found there is answered
-    without calling the client or classifying again, and its trace records
-    that same Exchange object. Passing one memo to all strategies of a
-    question sends each distinct request once: concat_pf repeats the
+    ``memo`` maps what fixes a request to the exchange that answered it and
+    the answer classified from it: the question id, the exchange key, the
+    ids of the strategy's passages, and for distill the candidates. A
+    prompt is rendered and sent only when the memo lacks its key; a hit
+    renders nothing, calls no client, classifies nothing, and its trace
+    records that same Exchange object. Passing one memo to all strategies
+    of a question sends each distinct request once: concat_pf repeats the
     concat request, and concat_pf and pf_concat repeat post_fusion's
-    per-passage calls. The whole request, question id and exchange key
-    included, is the key; the answers are those of the policy that filled
-    the memo, so share one only among calls with the same policy. The trace
-    records every exchange, memo hits too, so its tokens are attributed,
-    not billed.
+    per-passage calls. The key leaves out the policy and the response cap,
+    so share one memo only among calls with the same policy and
+    max_response_tokens. The trace records every exchange, memo hits too,
+    so its tokens are attributed, not billed.
     """
     if not passages:
         raise ValueError("strategy needs at least one passage")
     passages = list(passages)
+    passage_ids = tuple(p.passage_id for p in passages)
     if memo is None:
         memo = {}
     sentinel = policy.sentinel
     exchanges: list[Exchange] = []
 
-    def ask(kind: PromptKind, prompt: str, exchange_key: str | None = None) -> Answer:
-        request = CompletionRequest(
-            prompt_text=prompt,
-            max_response_tokens=max_response_tokens,
-            question_id=question.question_id,
-            exchange_key=exchange_key or kind.value,
-        )
-        held = memo.get(request)
+    def ask(
+        kind: PromptKind,
+        render: Callable[..., str],
+        *inputs: object,
+        exchange_key: str | None = None,
+        candidates: tuple[str, ...] | None = None,
+    ) -> Answer:
+        exchange_key = exchange_key or kind.value
+        key = (question.question_id, exchange_key, passage_ids, candidates)
+        held = memo.get(key)
         if held is None:
+            request = CompletionRequest(
+                prompt_text=render(*inputs, sentinel=sentinel),
+                max_response_tokens=max_response_tokens,
+                question_id=question.question_id,
+                exchange_key=exchange_key,
+            )
             try:
                 response = client.complete(request)
             except Exception as exc:
-                exc.args = (f"question {question.question_id} ({request.exchange_key}): {exc}",)
+                exc.args = (f"question {question.question_id} ({exchange_key}): {exc}",)
                 raise
-            exchange = Exchange(kind, request.exchange_key, request, response)
-            held = memo[request] = (exchange, classify_response(response.text, policy))
+            exchange = Exchange(kind, exchange_key, request, response)
+            held = memo[key] = (exchange, classify_response(response.text, policy))
         exchange, answer = held
         exchanges.append(exchange)
         return answer
@@ -150,7 +160,7 @@ def run_strategy(
         return StrategyTrace(
             strategy=strategy,
             question_id=question.question_id,
-            passage_ids=tuple(p.passage_id for p in passages),
+            passage_ids=passage_ids,
             exchanges=tuple(exchanges),
             final=final,
             rounds_used=rounds_used,
@@ -172,15 +182,14 @@ def run_strategy(
     first = Strategy.CONCAT if strategy is Strategy.CONCAT_PF else strategy
     if first in single_call:
         kind, render = single_call[first]
-        answer = ask(kind, render(passages, question, sentinel=sentinel))
+        answer = ask(kind, render, passages, question)
         if strategy is not Strategy.CONCAT_PF or not answer.is_unknown:
             return finish(answer, rounds_used)
         rounds_used = 2
     answers = tuple(
         ask(
-            PromptKind.POST_FUSION_SINGLE,
-            render_post_fusion_single(passage, question, sentinel=sentinel),
-            f"pf:{index}",
+            PromptKind.POST_FUSION_SINGLE, render_post_fusion_single, passage, question,
+            exchange_key=f"pf:{index}",
         )
         for index, passage in enumerate(passages)
     )
@@ -192,8 +201,8 @@ def run_strategy(
         return finish(UNKNOWN, rounds_used, per_passage_answers=answers, candidate_pool=())
     candidates = tuple(dict.fromkeys(a.text for a in answers if not a.is_unknown))
     final = ask(
-        PromptKind.DISTILL,
-        render_distill(survivors, question, list(candidates), sentinel=sentinel),
+        PromptKind.DISTILL, render_distill, survivors, question, list(candidates),
+        candidates=candidates,
     )
     off_pool = not final.is_unknown and normalize_answer(final.text) not in {
         normalize_answer(candidate) for candidate in candidates

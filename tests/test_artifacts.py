@@ -17,7 +17,8 @@ EXPECTED_SHA256 = {
     "report.json": "c5acebf066eeaaa7e894649a9d947cd41886012c58d0272a386bf78439bf0971",
     "report.csv": "ba9d81c0644512c9441b9a1abb53aa3ad8fcf1edff740b66dac843b94486b413",
     "tokens.csv": "72fa16b408c8f8806a844c3c5d2b5769eb6d9baa33188aa5e64c60df26467296",
-    "traces.jsonl": "9088d060c3efe3850669ba10e76c1c5f5341c5a17f11915b78915d08923d3399",
+    "traces.jsonl": "6570d87d49c326a1781ed83c0313adfbb3b6ced4918ca5ecf0b39325d2d21232",
+    "exchanges.jsonl": "49d16fb702bfca9efb6aef5b4d2cf521d2101c1880b43380bc5d4697dc199f69",
 }
 SWEEP_SHA256 = "b3c8fa03c6a32ec4d78a7c267843902b5e9d41b79b00b59a84cdf7b7e3383433"
 
@@ -52,7 +53,10 @@ EXPECTED_MANIFEST = {
     },
     "error": None,
     "num_questions": 20,
-    "outputs": ["traces.jsonl", "records.jsonl", "report.json", "report.csv", "tokens.csv"],
+    "outputs": [
+        "traces.jsonl", "exchanges.jsonl", "records.jsonl", "report.json", "report.csv",
+        "tokens.csv",
+    ],
     "seed": 7,
     "status": "complete",
     "template_version": "1",

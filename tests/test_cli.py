@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import ragfuse.cli as cli
 import ragfuse.llm as llm
-from conftest import FIXTURES, checkout_env, make_passage, make_question, run_python, write_config
+from conftest import FIXTURES, checkout_env, make_passage, run_python, spy_backend, write_config
 from oracles import bm25_rank, simulate_rule_run
 from ragfuse.cli import (
     RunConfig,
@@ -36,9 +36,9 @@ from ragfuse.cli import (
 )
 from ragfuse.corpus import CorpusError, chunk_corpus, load_corpus, load_questions
 from ragfuse.llm import CompletionRequest, ResponseCache, RuleClient, ScriptClient, count_tokens
-from ragfuse.prompts import TASK_DELIMITER
+from ragfuse.prompts import TASK_DELIMITER, Answer
 from ragfuse.retriever import RetrievalConfig, apply_gold_placement, retrieve_top_k
-from ragfuse.strategies import Strategy, run_strategy
+from ragfuse.strategies import Exchange, Strategy, StrategyTrace
 
 
 def test_parse_strategies_accepts_all_forms():
@@ -339,28 +339,96 @@ def test_main_rejects_a_finite_setting_too_large_to_use_before_any_call(
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-def assert_spliced_lines_are_whole_lines(traces) -> None:
-    """Each trace's line with its exchanges spliced in, one encoding per
-    exchange object, is the line of its whole row."""
-    encoded: dict[int, str] = {}
-    for trace in traces:
-        row = cli.trace_to_dict(trace)
-        whole = json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
-        assert cli._json_line(row) == whole
-        assert cli._json_line(cli.trace_to_dict(trace, encoded), "exchanges") == whole
-    assert len(encoded) == len({id(e) for trace in traces for e in trace.exchanges})
+def _dumps(row: dict) -> str:
+    return json.dumps(row, sort_keys=True, ensure_ascii=False)
 
 
-def test_spliced_trace_lines_match_on_every_toy_trace(toy_questions, toy_passages, toy_index):
-    by_id = {p.passage_id: p for p in toy_passages}
-    client = RuleClient(toy_questions)
-    for question in toy_questions:
-        ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
-        passages = [by_id[pid] for pid in ranked.passage_ids()]
-        memo: dict = {}
-        assert_spliced_lines_are_whole_lines(
-            [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
-        )
+def whole_row(trace: StrategyTrace) -> dict:
+    """The trace as one self-contained row: every field, an Answer as its
+    text, an exchange as its kind, key, prompt, reply, tokens and backend."""
+
+    def plain(value):
+        if isinstance(value, Answer):
+            return value.text
+        if isinstance(value, Exchange):
+            return {
+                "kind": value.kind.value,
+                "exchange_key": value.exchange_key,
+                "prompt": value.request.prompt_text,
+                "response": value.response.text,
+                "prompt_tokens": value.response.prompt_tokens,
+                "completion_tokens": value.response.completion_tokens,
+                "backend": value.response.backend.value,
+            }
+        if isinstance(value, tuple):
+            return [plain(item) for item in value]
+        return value
+
+    return {field.name: plain(getattr(trace, field.name)) for field in fields(trace)}
+
+
+def assert_exchanges_join_into_traces(tmp_path, config_path) -> None:
+    """Run at workers 1, 2 and 4: exchanges.jsonl joined into traces.jsonl by
+    id gives the in-memory traces' whole rows, each id resolves and each
+    exchange row is referenced, a question's rows are its billed calls, and
+    exchanges.jsonl is the same at every worker count."""
+
+    def run(workers: int) -> Path:
+        out = tmp_path / f"workers{workers}"
+        argv = ["run", "--config", str(config_path), "--out", str(out), "--workers", str(workers)]
+        assert main(argv) == 0
+        return out
+
+    traces, billed = [], []
+    real_run_strategy, real_make_client = cli.run_strategy, cli.make_client
+
+    def run_strategy(*args, **kwargs):
+        traces.append(real_run_strategy(*args, **kwargs))
+        return traces[-1]
+
+    def make_client(config, questions):
+        client = real_make_client(config, questions)
+        billed.append(spy_backend(client))
+        return client
+
+    with pytest.MonkeyPatch.context() as spies:
+        spies.setattr(cli, "run_strategy", run_strategy)
+        spies.setattr(cli, "make_client", make_client)
+        out = run(1)
+    # Split at "\n" only: a text may hold U+2028, which splitlines() breaks at.
+    exchange_lines = (out / "exchanges.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+    trace_lines = (out / "traces.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+    exchanges = [json.loads(line) for line in exchange_lines]
+    assert exchange_lines == [_dumps(row) for row in exchanges]
+    assert [row.pop("id") for row in exchanges] == list(range(len(exchanges)))
+    assert len(trace_lines) == len(traces)
+    by_question: dict[str, list[int]] = {}
+    for line, trace in zip(trace_lines, traces):
+        row = json.loads(line)
+        assert line == _dumps({**whole_row(trace), "exchanges": row["exchanges"]})
+        joined = {**row, "exchanges": [exchanges[i] for i in row["exchanges"]]}
+        assert _dumps(joined) == _dumps(whole_row(trace))
+        by_question.setdefault(row["question_id"], []).extend(row["exchanges"])
+    # every row is referenced, and the rows run in the order the calls were first made
+    first_seen = [i for ids in by_question.values() for i in dict.fromkeys(ids)]
+    assert first_seen == list(range(len(exchanges)))
+    (reached,) = billed
+    for question_id, ids in by_question.items():
+        rows = [exchanges[i] for i in dict.fromkeys(ids)]
+        assert [(row["exchange_key"], row["prompt"]) for row in rows] == [
+            (request.exchange_key, request.prompt_text)
+            for request in reached
+            if request.question_id == question_id
+        ], question_id
+    for workers in (2, 4):
+        assert (run(workers) / "exchanges.jsonl").read_bytes() == (
+            out / "exchanges.jsonl"
+        ).read_bytes(), workers
+
+
+def test_exchanges_join_into_traces_on_the_toy_fixture(tmp_path, capsys):
+    config_path = write_config(tmp_path / "run.yaml", strategies="all")
+    assert_exchanges_join_into_traces(tmp_path, config_path)
 
 
 # Non-ASCII text, DEL, a control character, a literal backslash-u, U+2028 and
@@ -370,18 +438,30 @@ def test_spliced_trace_lines_match_on_every_toy_trace(toy_questions, toy_passage
     "odd", ["caf\u00e9", "a\x7fb", "a\x01b", "a \\u0041 b", "a\u2028b", '"q" \\']
 )
 @pytest.mark.parametrize("where", ["title", "text", "reply"])
-def test_spliced_trace_lines_match_on_any_text(odd, where):
+def test_exchanges_join_into_traces_on_any_text(tmp_path, monkeypatch, capsys, odd, where):
     title = {"title": f"Harbor {odd}"}.get(where, "Harbor")
     text = {"text": f"the light is green {odd}"}.get(where, "the light is green")
     passages = [make_passage("a#0", text, title=title), make_passage("b#0", "boats")]
-    question = make_question("q1", "what color is the light", ("green",))
+    # The passages go in as built: the loader rejects a title that breaks a
+    # line, and chunking would turn U+2028 in a text into a space.
+    monkeypatch.setattr(cli, "chunk_corpus", lambda documents, max_words: passages)
     reply = {"reply": f"green {odd}"}.get(where, "green")
-    keys = ("concat", "pruning", "summary", "distill", "pf:0", "pf:1")
-    client = ScriptClient({("q1", key): reply for key in keys})
-    memo: dict = {}
-    assert_spliced_lines_are_whole_lines(
-        [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
+    files = {
+        "questions.jsonl": [{"id": "q1", "question": "what color is the light", "answers": ["green"]}],
+        "rankings.jsonl": [{"question_id": "q1", "ranked_passage_ids": ["a#0", "b#0"]}],
+        "script.jsonl": [
+            {"question_id": "q1", "exchange_key": key, "response": reply}
+            for key in ("concat", "pruning", "summary", "distill", "pf:0", "pf:1")
+        ],
+    }
+    for name, rows in files.items():
+        (tmp_path / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config_path = write_config(
+        tmp_path / "run.yaml", strategies="all", k=2, backend="script",
+        questions=tmp_path / "questions.jsonl", rankings=tmp_path / "rankings.jsonl",
+        script=tmp_path / "script.jsonl",
     )
+    assert_exchanges_join_into_traces(tmp_path, config_path)
 
 
 def test_config_guard_runs_before_any_client_exists(tmp_path, monkeypatch):

@@ -71,7 +71,7 @@ def test_rule_client_returns_first_alias_found_in_passages():
     prompt = render_concatenation(PASSAGES, QUESTION)
     response = client.complete(CompletionRequest(prompt_text=prompt))
     assert response.text == "green"
-    assert response.backend is Backend.MOCK_RULE
+    assert response.backend is Backend.RULE
     assert response.prompt_tokens == count_tokens(prompt)
     assert response.completion_tokens == 1
 
@@ -180,7 +180,7 @@ def test_script_client_looks_up_by_question_and_exchange():
         CompletionRequest(prompt_text="x", question_id="q1", exchange_key="concat")
     )
     assert response.text == "unknown"
-    assert response.backend is Backend.MOCK_SCRIPT
+    assert response.backend is Backend.SCRIPT
 
 
 def test_script_client_missing_key_is_an_error():

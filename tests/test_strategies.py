@@ -267,7 +267,7 @@ def test_errors_name_the_question_and_exchange():
     run_concatenation(PASSAGES, QUESTION, client, memo=memo)
     with pytest.raises(ScriptError, match=r"question q1 \(pf:1\)"):
         run_concat_pf(PASSAGES, QUESTION, client, memo=memo)
-    assert sorted(request.exchange_key for request in memo) == ["concat", "pf:0"]
+    assert sorted(exchange.exchange_key for exchange, _ in memo.values()) == ["concat", "pf:0"]
 
 
 def test_run_strategy_dispatches_every_member():
@@ -319,12 +319,54 @@ def test_a_memo_hit_reuses_the_exchange_and_its_classification(
         memo = {}
         traces = [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
         exchanges = [e for trace in traces for e in trace.exchanges]
-        # every exchange of a request is the one object the memo holds
-        assert all(e is memo[e.request][0] for e in exchanges)
+        # every exchange of a request is the one object the memo holds for it
+        held = {e.request: e for e, _ in memo.values()}
+        assert len(held) == len(memo)
+        assert all(e is held[e.request] for e in exchanges)
         assert len({id(e) for e in exchanges}) == len(memo) < len(exchanges)
         # one classification per distinct request, and hits return its answer
         assert len(classified) == len(memo)
         assert all(answer == classify_response(e.response.text) for e, answer in memo.values())
+
+
+def test_a_shared_memo_renders_each_distinct_request_once(
+    toy_questions, toy_passages, toy_index, monkeypatch
+):
+    renders = []
+
+    def counted(render):
+        def spy(*args, **kwargs):
+            renders.append(args)
+            return render(*args, **kwargs)
+
+        return spy
+
+    # run_strategy looks the renderers up by these names at call time
+    for name in (
+        "render_concatenation", "render_post_fusion_single", "render_pruning", "render_summary",
+        "render_distill",
+    ):
+        monkeypatch.setattr(strategies, name, counted(getattr(strategies, name)))
+    by_id = {p.passage_id: p for p in toy_passages}
+    for question in toy_questions:
+        ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
+        passages = [by_id[pid] for pid in ranked.passage_ids()]
+        client = RuleClient(toy_questions)
+        reached = spy_backend(client)
+        renders.clear()
+        memo = {}
+        traces = [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
+        requests = {e.request for trace in traces for e in trace.exchanges}
+        assert len(renders) == len(requests) == len(reached) == len(memo), question.question_id
+
+
+def test_a_memo_shared_across_passage_lists_keys_by_them():
+    client = RuleClient([QUESTION])
+    memo = {}
+    for passages in (PASSAGES, PASSAGES[::-1], PASSAGES[:2], MISS_PASSAGES):
+        for strategy in Strategy:
+            shared = run_strategy(strategy, passages, QUESTION, client, memo=memo)
+            assert shared == run_strategy(strategy, passages, QUESTION, RuleClient([QUESTION]))
 
 
 def test_a_shared_memo_replays_a_script_without_extra_entries():
