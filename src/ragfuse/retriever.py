@@ -79,28 +79,23 @@ def tokenize(text: str) -> list[str]:
 
 
 class Bm25Index:
-    """Immutable inverted index over passages with Okapi BM25, weighed lazily.
+    """Read-only inverted index over passages with Okapi BM25.
 
     Only passage text is indexed; titles do not participate in scoring.
 
-    The build only tokenizes and records postings: one append per token to
-    the term's occurrence array, which holds the slot (position in the
-    sorted ``passage_ids``) of every occurrence in slot order, so a slot
-    appears tf times. That is 4 bytes per token occurrence. A term's BM25
-    weights are computed the first time a query uses it, then cached as two
-    parallel arrays, slots and weights; terms no query uses are never
-    weighed. A query costs the postings of its own terms, plus O(M log k) to
-    pick the top k of the M passages they touch with a k-sized heap.
+    The build tokenizes every passage, then weighs each term: its postings
+    are two parallel arrays, the slots (positions in the sorted
+    ``passage_ids``) of the passages that hold it, ascending, and the BM25
+    weight of the term in each. A query costs the postings of its own terms,
+    plus O(M log k) to pick the top k of the M passages they touch with a
+    k-sized heap. Nothing changes after the build, so threads share one
+    index without a lock.
 
     Given ``terms``, the build still records every passage's length but
-    appends the occurrences of those terms only (BM25 needs df and tf of
-    the query terms alone); N, every df and the average length are those of
-    the full index, so the scores are bitwise the same. A query with a term
-    outside ``terms`` is then a ValueError.
-
-    With several worker threads, two may weigh the same term at once: both
-    compute identical arrays and a dict store is atomic, so no lock is
-    needed.
+    weighs those terms only (BM25 needs df and tf of the query terms alone);
+    N, every df and the average length are those of the full index, so the
+    scores are bitwise the same. A query with a term outside ``terms`` is
+    then a ValueError.
     """
 
     def __init__(
@@ -118,61 +113,46 @@ class Bm25Index:
             raise ValueError(f"bm25_k1 must be finite and >= 0, got {k1}")
         if not 0 <= b <= 1:
             raise ValueError("bm25_b must be in [0, 1]")
-        self.k1 = k1
         by_id = {p.passage_id: p for p in passages}
         # Stable id order fixes tie-breaking and score-summation order.
         self.passage_ids = sorted(by_id)
         self._terms = None if terms is None else frozenset(terms)
         keep = None if self._terms is None else self._terms.__contains__
         slot_lengths: list[int] = []
+        # term -> the slot of each of its occurrences, in slot order, so a
+        # slot appears tf times.
         occurrences: defaultdict[str, array] = defaultdict(lambda: array("i"))
         for slot, pid in enumerate(self.passage_ids):
             tokens = tokenize(by_id[pid].text)
             slot_lengths.append(len(tokens))
             for term in tokens if keep is None else filter(keep, tokens):
                 occurrences[term].append(slot)
-        self._occurrences = dict(occurrences)
         self.avg_length = sum(slot_lengths) / len(slot_lengths)
+        self._postings: dict[str, tuple[array, array]] = {}
+        if not self.avg_length:  # a corpus without a single token has no postings
+            return
         # k1 * length_norm is the scorer's own subexpression, so each weight
         # is bitwise the term's contribution in the BM25 formula.
-        self._k1_norms: list[float] = []
-        if self.avg_length:  # a corpus without a single token has no postings
-            self._k1_norms = [
-                k1 * (1.0 - b + b * length / self.avg_length) for length in slot_lengths
-            ]
-            # Each factor of a weight, idf * tf * (k1 + 1.0) / (tf + k1_norm),
-            # is largest at df 1 and at the longest passage's length and norm.
-            longest = max(slot_lengths)
-            top_idf = math.log(1.0 + (len(slot_lengths) - 1 + 0.5) / (1 + 0.5))
-            if not (
-                math.isfinite(top_idf * longest * (k1 + 1.0))
-                and math.isfinite(longest + max(self._k1_norms))
-            ):
-                raise ValueError(
-                    f"bm25_k1 {k1} is too large for this corpus: the BM25 weights of its "
-                    f"longest passage ({longest} tokens) overflow"
-                )
-        self._weights: dict[str, tuple[array, array]] = {}
-
-    def _posting(self, term: str) -> tuple[array, array] | None:
-        """The term's (slots, weights) arrays, weighed on first use; None if
-        no passage holds it. ValueError for a term the build was not given."""
-        posting = self._weights.get(term)
-        if posting is None:
-            if self._terms is not None and term not in self._terms:
-                raise ValueError(f"term {term!r} is not among the terms this index was built for")
-            slots = self._occurrences.get(term)
-            if slots is None:
-                return None
+        k1_norms = [k1 * (1.0 - b + b * length / self.avg_length) for length in slot_lengths]
+        # Each factor of a weight, idf * tf * (k1 + 1.0) / (tf + k1_norm),
+        # is largest at df 1 and at the longest passage's length and norm.
+        longest = max(slot_lengths)
+        top_idf = math.log(1.0 + (len(slot_lengths) - 1 + 0.5) / (1 + 0.5))
+        if not (
+            math.isfinite(top_idf * longest * (k1 + 1.0))
+            and math.isfinite(longest + max(k1_norms))
+        ):
+            raise ValueError(
+                f"bm25_k1 {k1} is too large for this corpus: the BM25 weights of its "
+                f"longest passage ({longest} tokens) overflow"
+            )
+        while occurrences:  # popped, so each occurrence array is freed once weighed
+            term, slots = occurrences.popitem()
             tfs = Counter(slots)  # slot -> tf, in ascending slot order
             df = len(tfs)
             idf = math.log(1.0 + (len(self.passage_ids) - df + 0.5) / (df + 0.5))
-            k1 = self.k1
-            k1_norms = self._k1_norms
             weights = [idf * tf * (k1 + 1.0) / (tf + k1_norms[slot]) for slot, tf in tfs.items()]
-            posting = (array("i", tfs), array("d", weights))
-            self._weights[term] = posting
-        return posting
+            self._postings[term] = (array("i", tfs), array("d", weights))
 
     def slot_scores(self, query: str) -> dict[int, float]:
         """BM25 score of every passage sharing a term with the query, by slot.
@@ -184,8 +164,12 @@ class Bm25Index:
         totals: dict[int, float] = {}
         get = totals.get
         for term in tokenize(query):
-            posting = self._posting(term)
+            posting = self._postings.get(term)
             if posting is None:
+                if self._terms is not None and term not in self._terms:
+                    raise ValueError(
+                        f"term {term!r} is not among the terms this index was built for"
+                    )
                 continue
             for slot, weight in zip(*posting):
                 totals[slot] = get(slot, 0.0) + weight
@@ -256,7 +240,7 @@ def apply_gold_placement(
     if not ranked.entries:
         raise ValueError(
             f"placement mode {mode.value} needs a non-empty ranking "
-            f"(question {ranked.question_id!r} has no ranked passages)"
+            f"(question {question.question_id!r} has no ranked passages)"
         )
     entries = list(ranked.entries)
     present = [i for i, (pid, _) in enumerate(entries) if pid == gold_id]
@@ -279,7 +263,7 @@ def apply_gold_placement(
     else:
         # RETRIEVAL_ORDER and GOLD_RANDOM insert at a seed-deterministic
         # uniform position; the per-question RNG keeps reruns identical.
-        rng = random.Random(f"{config.seed}:{ranked.question_id}")
+        rng = random.Random(f"{config.seed}:{question.question_id}")
         position = rng.randrange(len(entries) + 1)
     entries.insert(position, (gold_id, 0.0))
     return replace(ranked, entries=tuple(entries))

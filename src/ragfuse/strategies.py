@@ -120,7 +120,9 @@ def run_strategy(
     so its tokens are attributed, not billed.
     """
     if not passages:
-        raise ValueError("strategy needs at least one passage")
+        raise ValueError(
+            f"strategy needs at least one passage (question {question.question_id!r} has none)"
+        )
     passages = list(passages)
     passage_ids = tuple(p.passage_id for p in passages)
     if memo is None:

@@ -867,6 +867,21 @@ def test_main_rejects_empty_precomputed_ranking_under_gold_placement(
     assert "non-empty ranking" in err
 
 
+def test_main_names_the_question_of_an_empty_ranking_under_no_gold(
+    tmp_path, capsys, toy_questions, toy_passages
+):
+    ids = [p.passage_id for p in toy_passages][:3]
+    rows = [
+        {"question_id": q.question_id, "ranked_passage_ids": [] if q.question_id == "q02" else ids}
+        for q in toy_questions
+    ]
+    assert run_with_rankings(tmp_path, rows) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "question 'q02'" in err
+    assert "Traceback" not in err
+
+
 def run_with_rankings(tmp_path, rows: list) -> int:
     rankings = tmp_path / "rankings.jsonl"
     rankings.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")

@@ -1,6 +1,7 @@
 """Tests for BM25 indexing, top-k retrieval, and gold-passage placement."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -208,6 +209,22 @@ def test_absent_gold_random_insertion_is_seed_deterministic():
         for s in range(30)
     }
     assert len(positions) > 1  # the position actually varies with the seed
+
+
+def test_random_insertion_seeds_from_the_question_not_the_ranking():
+    # A ranking built without question_id= used to seed from "", so library
+    # callers placed gold where `ragfuse run` at the same seed did not.
+    named = ranked_fixture()
+    anonymous = replace(named, question_id="")
+    question = make_question("q", "x", ("y",), gold="p7")
+    assert "p7" not in named.passage_ids()
+    for mode in (PlacementMode.GOLD_RANDOM, PlacementMode.RETRIEVAL_ORDER):
+        for seed in range(40):
+            config = config_for(mode, seed=seed)
+            assert (
+                apply_gold_placement(anonymous, question, config).passage_ids()
+                == apply_gold_placement(named, question, config).passage_ids()
+            )
 
 
 def test_gold_placement_idempotent_for_top_and_bottom():

@@ -1,6 +1,7 @@
 """Top-k retrieval and gold placement edge cases, checked against the oracles."""
 
 import math
+import pickle
 import re
 import sys
 import threading
@@ -204,6 +205,16 @@ def test_threads_racing_the_first_use_of_a_term_get_the_single_threaded_scores()
             assert results == {w: expected[w:] + expected[:w] for w in range(4)}
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("terms", [None, {"cat", "sat", "zebra"}])
+def test_a_query_leaves_the_index_unchanged(terms):
+    index = build_index(SIX, terms=terms)
+    built = pickle.dumps(index)
+    index.scores("cat sat zebra")
+    index.slot_scores("sat cat")
+    retrieve_top_k(index, "cat", k=3)
+    assert pickle.dumps(index) == built
 
 
 @given(st.text())
