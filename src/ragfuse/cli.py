@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
 
 import yaml
 
@@ -48,6 +47,7 @@ from .llm import (
     ScriptClient,
     ScriptError,
     TransportError,
+    check_live_settings,
     load_script,
 )
 from .prompts import (
@@ -56,7 +56,6 @@ from .prompts import (
     Answer,
     UnknownPolicy,
     classify_response,
-    normalize_reply,
 )
 from .retriever import (
     Bm25Index,
@@ -148,26 +147,12 @@ class RunConfig(RetrievalConfig):
             raise ValueError("live backend needs both endpoint and model")
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
-        for name in ("workers", "max_response_tokens", "max_in_flight"):
+        for name in ("workers", "max_response_tokens"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be > 0 and finite, got {self.timeout}")
-        if self.timeout > threading.TIMEOUT_MAX:  # socket.settimeout's limit
-            raise ValueError(
-                f"timeout must be at most {threading.TIMEOUT_MAX} s, got {self.timeout}"
-            )
-        if self.nm_denominator not in NM_DENOMINATORS:
-            raise ValueError(
-                f"nm_denominator must be one of {NM_DENOMINATORS}, got {self.nm_denominator!r}"
-            )
-        if not normalize_reply(self.unknown_sentinel):
-            raise ValueError(
-                f"unknown_sentinel must be non-empty once case, surrounding space and "
-                f"trailing punctuation are dropped, got {self.unknown_sentinel!r}"
-            )
-        if not all(pattern.strip() for pattern in self.unknown_patterns):
-            raise ValueError("unknown_patterns entries must be non-blank")
+        check_live_settings(self.timeout, self.max_in_flight)
+        aggregate((), self.nm_denominator)  # an empty report; rejects an unknown nm_denominator
+        self.policy()  # UnknownPolicy rejects a blank sentinel or pattern
 
 
 _CONFIG_HINTS = get_type_hints(RunConfig)
@@ -463,7 +448,9 @@ def _run_single(config: RunConfig) -> EvalReport:
         tokens = csv.writer(tokens_file)
         tokens.writerow(["strategy", "question_id", "calls", "prompt_tokens", "completion_tokens"])
         try:
-            results: Iterable = executor.map(work, questions) if executor else map(work, questions)
+            results: Iterable = map(work, questions)
+            if executor is not None:  # two questions per worker keep each one busy
+                results = _in_order(executor, work, questions, 2 * config.workers)
             rows = 0  # written to exchanges.jsonl
             for per_question, exchanges in results:
                 # Keyed by id(): the question's exchanges stay alive until its
@@ -510,6 +497,18 @@ def _run_single(config: RunConfig) -> EvalReport:
     )
     print(f"wrote {config.out}")
     return report
+
+
+def _in_order(pool: ThreadPoolExecutor, work: Callable, items: Iterable, window: int) -> Iterator:
+    """work(item) for each item, in order, run on the pool with at most ``window``
+    items submitted and not yet taken, so that results do not pile up in memory."""
+    pending: deque[Future] = deque()
+    for item in items:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(work, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _tally(totals: list[int], calls: int, prompt_tokens: int, completion_tokens: int) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -219,6 +220,8 @@ class ResponseCache:
                 if line.strip():
                     where = f"{self.path}:{lineno}: unreadable cache entry"
                     row = check_row(line, _CACHE_ROW, where)
+                    if row["prompt_tokens"] < 0 or row["completion_tokens"] < 0:
+                        raise CorpusError(f"{where}: negative token count")
                     self._entries[row["key"]] = (
                         row["text"], row["prompt_tokens"], row["completion_tokens"]
                     )
@@ -304,7 +307,7 @@ def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Trans
 
 def _completion_fields(body: object, status: int) -> tuple[str, int | None, int | None]:
     """The reply text and the token counts the provider reports, None where it
-    reports none; TransportError if the body holds no usable reply."""
+    reports none; TransportError unless the reply is text and each count an int >= 0."""
     try:
         text = body["choices"][0]["message"]["content"]
         usage = body.get("usage")
@@ -313,9 +316,20 @@ def _completion_fields(body: object, status: int) -> tuple[str, int | None, int 
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise TransportError(f"malformed completion body (status {status})") from exc
     # bool is an int subclass, so a count's type is compared exactly.
-    if not isinstance(text, str) or any(n is not None and type(n) is not int for n in counts):
+    usable = all(n is None or type(n) is int and n >= 0 for n in counts)
+    if not isinstance(text, str) or not usable:
         raise TransportError(f"malformed completion body (status {status})")
     return text, *counts
+
+
+def check_live_settings(timeout: float, max_in_flight: int) -> None:
+    """max_in_flight >= 1, and a timeout socket.settimeout takes: > 0, finite, <= TIMEOUT_MAX."""
+    if max_in_flight < 1:
+        raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+    if not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be > 0 and finite, got {timeout}")
+    if timeout > threading.TIMEOUT_MAX:
+        raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX} s, got {timeout}")
 
 
 class LiveClient(CompletionClient):
@@ -344,8 +358,7 @@ class LiveClient(CompletionClient):
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         super().__init__(max_prompt_tokens)
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
+        check_live_settings(timeout, max_in_flight)
         self.model = model
         self.cache = cache
         self._transport = transport or _http_transport(endpoint, api_key, timeout)

@@ -47,14 +47,15 @@ class UnknownPolicy:
     normalized_sentinel: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # The messages name the config keys these fields are read from.
         normalized = normalize_reply(self.sentinel)
         if not normalized:
             raise ValueError(
-                f"sentinel must be non-empty once case, surrounding space and trailing "
-                f"punctuation are dropped, got {self.sentinel!r}"
+                f"unknown_sentinel must be non-empty once case, surrounding space and "
+                f"trailing punctuation are dropped, got {self.sentinel!r}"
             )
         if not all(pattern.strip() for pattern in self.extra_patterns):
-            raise ValueError("extra_patterns entries must be non-blank")
+            raise ValueError("unknown_patterns entries must be non-blank")
         object.__setattr__(self, "normalized_sentinel", normalized)
 
 

@@ -23,6 +23,21 @@ _TOKEN_BYTES = bytes(
 )
 
 
+def check_k(k: int) -> None:
+    """k, the number of passages to rank, must be >= 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def check_bm25(k1: float, b: float) -> None:
+    """These ranges, and the index build's check on its longest passage, keep
+    every BM25 weight > 0 and finite, which top-k selection relies on."""
+    if not 0 <= k1 <= sys.float_info.max:
+        raise ValueError(f"bm25_k1 must be finite and >= 0, got {k1}")
+    if not 0 <= b <= 1:
+        raise ValueError("bm25_b must be in [0, 1]")
+
+
 class PlacementMode(str, Enum):
     RETRIEVAL_ORDER = "retrieval_order"
     GOLD_TOP = "gold_top"
@@ -44,8 +59,7 @@ class RetrievalConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_k(self.k)
         if self.max_passage_words < 1:
             raise ValueError("max_passage_words must be >= 1")
         if self.k * self.max_passage_words >= self.model_input_budget:
@@ -53,10 +67,7 @@ class RetrievalConfig:
                 f"k * max_passage_words must stay below the model input budget: "
                 f"{self.k} * {self.max_passage_words} >= {self.model_input_budget}"
             )
-        if not 0 <= self.bm25_k1 <= sys.float_info.max:
-            raise ValueError(f"bm25_k1 must be finite and >= 0, got {self.bm25_k1}")
-        if not 0 <= self.bm25_b <= 1:
-            raise ValueError("bm25_b must be in [0, 1]")
+        check_bm25(self.bm25_k1, self.bm25_b)
 
 
 @dataclass(frozen=True)
@@ -107,12 +118,7 @@ class Bm25Index:
     ):
         if not passages:
             raise ValueError("cannot build an index over an empty passage list")
-        # These ranges, and the check on the longest passage below, keep every
-        # weight > 0 and finite, which top-k selection relies on.
-        if not 0 <= k1 <= sys.float_info.max:
-            raise ValueError(f"bm25_k1 must be finite and >= 0, got {k1}")
-        if not 0 <= b <= 1:
-            raise ValueError("bm25_b must be in [0, 1]")
+        check_bm25(k1, b)
         by_id = {p.passage_id: p for p in passages}
         # Stable id order fixes tie-breaking and score-summation order.
         self.passage_ids = sorted(by_id)
@@ -201,8 +207,7 @@ def retrieve_top_k(index: Bm25Index, query: str, k: int, question_id: str = "") 
     touch; when M < k the remaining entries are zero-score passages in
     ascending passage_id order.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     scored = index.slot_scores(query)
     # Slots follow passage_id order, so (-score, slot) is (-score, passage_id).
     top = heapq.nsmallest(k, zip(map(operator.neg, scored.values()), scored))
@@ -289,6 +294,7 @@ def load_rankings(path: str | Path) -> dict[str, list[str]]:
 
 def ranked_list_from_ids(question_id: str, passage_ids: list[str], k: int) -> RankedList:
     """Build a RankedList from externally supplied ids (reciprocal-rank scores)."""
+    check_k(k)
     top = passage_ids[:k]
     if len(set(top)) != len(top):
         raise ValueError(f"duplicate passage ids in ranking for question {question_id!r}")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import weakref
 from contextlib import redirect_stdout
 from dataclasses import fields, replace
@@ -628,6 +629,33 @@ def test_cmd_run_is_deterministic_across_workers(tmp_path):
     assert (tmp_path / "a" / "traces.jsonl").read_bytes() == (
         tmp_path / "b" / "traces.jsonl"
     ).read_bytes()
+
+
+def test_workers_run_at_most_a_window_of_questions_ahead_of_the_writer(tmp_path, monkeypatch):
+    # The pool used to take every question at once, so behind a slow writer
+    # finished questions piled up in memory.
+    workers = 2
+    lock = threading.Lock()
+    started, written, ahead = [0], [0], []
+    select, to_dict = cli._passages_for_question, cli.record_to_dict
+
+    def counted_select(*args):
+        with lock:
+            started[0] += 1
+            ahead.append(started[0] - written[0])
+        return select(*args)
+
+    def slow_to_dict(record):
+        time.sleep(0.01)
+        with lock:
+            written[0] += 1
+        return to_dict(record)
+
+    monkeypatch.setattr(cli, "_passages_for_question", counted_select)
+    monkeypatch.setattr(cli, "record_to_dict", slow_to_dict)
+    cmd_run(run_config(tmp_path, strategies="concat", workers=workers))
+    assert started[0] == written[0] == 20
+    assert max(ahead) <= 2 * workers
 
 
 def usage_lines(capsys) -> list[str]:

@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import math
 import socket
 import threading
 import time
@@ -324,6 +325,8 @@ def test_live_client_malformed_body_is_a_transport_error():
         ok_body("Paris", [41, 7]),
         ok_body("Paris", {"prompt_tokens": "41", "completion_tokens": 7}),
         ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": True}),
+        ok_body("Paris", {"prompt_tokens": -7, "completion_tokens": 10**30}),
+        ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": -1}),
     ],
 )
 def test_live_client_rejects_an_unusable_body_without_caching_or_billing(tmp_path, body):
@@ -365,6 +368,26 @@ def test_live_client_enforces_max_in_flight():
     assert max(seen) <= 2
     with pytest.raises(ValueError):
         LiveClient(endpoint="e", model="m", max_in_flight=0, transport=transport)
+
+
+@pytest.mark.parametrize(
+    "timeout, message",
+    [
+        (math.inf, "timeout must be > 0 and finite"),
+        (math.nan, "timeout must be > 0 and finite"),
+        (0, "timeout must be > 0 and finite"),
+        (-1, "timeout must be > 0 and finite"),
+        (1e300, "timeout must be at most"),
+        (2 * threading.TIMEOUT_MAX, "timeout must be at most"),
+    ],
+)
+def test_live_client_rejects_an_unusable_timeout_at_construction(timeout, message):
+    # socket.settimeout takes at most threading.TIMEOUT_MAX seconds: inf and
+    # 1e300 used to pass construction, then die at the first call with an
+    # OverflowError, and -1 with "Timeout value out of range".
+    with pytest.raises(ValueError, match=message):
+        LiveClient(endpoint="http://127.0.0.1:9/v1", model="m", timeout=timeout)
+    LiveClient(endpoint="http://127.0.0.1:9/v1", model="m", timeout=threading.TIMEOUT_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +604,11 @@ def test_response_cache_rejects_a_bad_line_in_the_middle(tmp_path):
     cache = ResponseCache(path)
     cache.put("a", "alpha", 1, 1)
     good = path.read_text(encoding="utf-8")
-    for bad in ('{"key": "b", "text": "be\n', "[1, 2]\n", '{"key": "b"}\n'):
+    negative = (
+        '{"key": "b", "text": "t", "prompt_tokens": -7, "completion_tokens": 1}\n',
+        '{"key": "b", "text": "t", "prompt_tokens": 1, "completion_tokens": -1}\n',
+    )
+    for bad in ('{"key": "b", "text": "be\n', "[1, 2]\n", '{"key": "b"}\n', *negative):
         path.write_text(good + bad + good, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"{path.name}:2: unreadable cache entry"):
             ResponseCache(path)

@@ -250,10 +250,10 @@ def test_classify_takes_a_non_sentinel_last_line_as_the_answer(line, before, aft
 
 def test_unknown_policy_requires_sentinel():
     for sentinel in ("", "?", " .!\u2026 "):
-        with pytest.raises(ValueError, match="sentinel must be non-empty"):
+        with pytest.raises(ValueError, match="unknown_sentinel must be non-empty"):
             UnknownPolicy(sentinel=sentinel)
     for patterns in (("",), (" \t",), ("not stated", "\n")):
-        with pytest.raises(ValueError, match="extra_patterns entries must be non-blank"):
+        with pytest.raises(ValueError, match="unknown_patterns entries must be non-blank"):
             UnknownPolicy(extra_patterns=patterns)
 
 

@@ -293,3 +293,10 @@ def test_ranked_list_from_ids_truncates_and_scores_reciprocally():
     assert [score for _, score in ranked.entries] == [1.0, 0.5, pytest.approx(1 / 3)]
     with pytest.raises(ValueError, match="duplicate"):
         ranked_list_from_ids("q", ["a", "a"], k=3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_ranked_list_from_ids_rejects_k_below_one(k):
+    # k=-1 used to drop the last id, and k=0 to return an empty ranking.
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        ranked_list_from_ids("q", ["a", "b", "c"], k=k)
