@@ -48,6 +48,7 @@ from .llm import (
     ScriptError,
     TransportError,
     check_live_settings,
+    check_max_response_tokens,
     load_script,
 )
 from .prompts import (
@@ -68,7 +69,7 @@ from .retriever import (
     retrieve_top_k,
     tokenize,
 )
-from .strategies import Exchange, Strategy, StrategyTrace, run_strategy
+from .strategies import Exchange, Strategy, StrategyTrace, run_strategy, send_ahead
 
 _BACKENDS = tuple(backend.value for backend in Backend)
 _SWEEP = "sweep"
@@ -147,9 +148,9 @@ class RunConfig(RetrievalConfig):
             raise ValueError("live backend needs both endpoint and model")
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
-        for name in ("workers", "max_response_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        check_max_response_tokens(self.max_response_tokens)
         check_live_settings(self.timeout, self.max_in_flight)
         aggregate((), self.nm_denominator)  # an empty report; rejects an unknown nm_denominator
         self.policy()  # UnknownPolicy rejects a blank sentinel or pattern
@@ -411,13 +412,32 @@ def _run_single(config: RunConfig) -> EvalReport:
     client = make_client(config, questions)
     policy = config.policy()
 
+    # A live client can make calls at once: each question's first round goes
+    # out through one pool of max_in_flight threads. Other clients make them
+    # one after another, in the same order.
+    sending = (
+        ThreadPoolExecutor(max_workers=config.max_in_flight)
+        if isinstance(client, LiveClient) and config.max_in_flight > 1
+        else None
+    )
+    sender = sending.map if sending is not None else map
+
     def work(question: Question) -> tuple[list[tuple[StrategyTrace, EvalRecord]], list[Exchange]]:
         """The question's (trace, record) pairs, and its distinct exchanges,
-        each request that reached the client once, in first-seen order."""
+        each request that reached the client once, in the order the traces
+        first refer to them."""
         selected = _passages_for_question(question, index, rankings, by_id, config)
         # One memo per question: its strategies repeat each other's calls.
-        # The whole question runs on one thread, so the memo needs no lock.
-        memo: dict = {}
+        # Only this thread reads or writes it, so it needs no lock.
+        memo = send_ahead(
+            config.strategies,
+            selected,
+            question,
+            client,
+            policy=policy,
+            max_response_tokens=config.max_response_tokens,
+            sender=sender,
+        )
         results = []
         for strategy in config.strategies:
             trace = run_strategy(
@@ -430,7 +450,10 @@ def _run_single(config: RunConfig) -> EvalReport:
                 memo=memo,
             )
             results.append((trace, score_trace(trace, question)))
-        return results, [exchange for exchange, _ in memo.values()]
+        # Keyed by id(): a request's exchange is one object wherever it is
+        # used, and a key keeps the place where it was first inserted.
+        exchanges = {id(e): e for trace, _ in results for e in trace.exchanges}
+        return results, list(exchanges.values())
 
     config.out.mkdir(parents=True, exist_ok=True)
     all_records: list[EvalRecord] = []
@@ -478,10 +501,12 @@ def _run_single(config: RunConfig) -> EvalReport:
             status, error_text = "failed", str(exc)
             raise
         finally:
-            if executor is not None:
-                # Queued questions never start; running ones finish, so no worker
-                # still bills the endpoint or appends to the cache after return.
-                executor.shutdown(wait=True, cancel_futures=True)
+            # Queued questions never start; running ones finish, so no worker
+            # still bills the endpoint or appends to the cache after return.
+            # Questions first: a running one may still wait on its first round.
+            for pool in (executor, sending):
+                if pool is not None:
+                    pool.shutdown(wait=True, cancel_futures=True)
             # Written even on failure so a crashed run leaves a partial
             # manifest next to whatever rows completed.
             report = aggregate(all_records, config.nm_denominator)

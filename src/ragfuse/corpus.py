@@ -38,33 +38,38 @@ class Question:
             raise CorpusError(f"question {self.question_id!r} has no gold answers")
 
 
-def chunk_document(doc: Document, max_words: int) -> list[Passage]:
-    """Split a document into consecutive passages of at most max_words words.
+def check_max_passage_words(max_passage_words: int) -> None:
+    """A passage holds at least one word."""
+    if max_passage_words < 1:
+        raise ValueError(f"max_passage_words must be >= 1, got {max_passage_words}")
+
+
+def chunk_document(doc: Document, max_passage_words: int) -> list[Passage]:
+    """Split a document into consecutive passages of at most max_passage_words words.
 
     Words are whitespace-delimited. Every passage except possibly the last
-    holds exactly max_words words; together they partition the document's
-    word sequence. Passage ids are "<doc_id>#<chunk_index>".
+    holds exactly max_passage_words words; together they partition the
+    document's word sequence. Passage ids are "<doc_id>#<chunk_index>".
     """
-    if max_words < 1:
-        raise ValueError(f"max_words must be >= 1, got {max_words}")
+    check_max_passage_words(max_passage_words)
     words = doc.body.split()
     passages = []
-    for index, start in enumerate(range(0, len(words), max_words)):
+    for index, start in enumerate(range(0, len(words), max_passage_words)):
         passages.append(
             Passage(
                 passage_id=f"{doc.doc_id}#{index}",
                 title=doc.title,
-                text=" ".join(words[start : start + max_words]),
+                text=" ".join(words[start : start + max_passage_words]),
             )
         )
     return passages
 
 
-def chunk_corpus(documents: list[Document], max_words: int) -> list[Passage]:
+def chunk_corpus(documents: list[Document], max_passage_words: int) -> list[Passage]:
     """Chunk every document, preserving document order."""
     passages: list[Passage] = []
     for doc in documents:
-        passages.extend(chunk_document(doc, max_words))
+        passages.extend(chunk_document(doc, max_passage_words))
     return passages
 
 

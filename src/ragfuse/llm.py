@@ -54,6 +54,24 @@ def count_tokens(text: str) -> int:
     return marks.count(b"01") + marks.startswith(b"1")
 
 
+def check_max_response_tokens(max_response_tokens: int) -> None:
+    """A reply may hold at least one token: an endpoint given max_tokens 0 or
+    less either refuses the call or answers with nothing to score."""
+    if max_response_tokens < 1:
+        raise ValueError(f"max_response_tokens must be >= 1, got {max_response_tokens}")
+
+
+# The largest token count taken from a provider or a cache row: the int32
+# limit, far above any prompt or reply a model takes or writes. A larger count
+# is a broken reply or row, and would be billed and summed as given.
+MAX_TOKEN_COUNT = 2**31 - 1
+
+
+def _is_token_count(count: object) -> bool:
+    # bool is an int subclass, so the type is compared exactly.
+    return type(count) is int and 0 <= count <= MAX_TOKEN_COUNT
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     """One prompt plus routing metadata (mock backends key on the metadata)."""
@@ -83,6 +101,7 @@ class CompletionClient:
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         if not request.prompt_text.strip():
             raise ValueError("prompt_text must be non-empty")
+        check_max_response_tokens(request.max_response_tokens)
         prompt_tokens = count_tokens(request.prompt_text)
         if self.max_prompt_tokens is not None and prompt_tokens > self.max_prompt_tokens:
             raise BudgetError(
@@ -220,8 +239,9 @@ class ResponseCache:
                 if line.strip():
                     where = f"{self.path}:{lineno}: unreadable cache entry"
                     row = check_row(line, _CACHE_ROW, where)
-                    if row["prompt_tokens"] < 0 or row["completion_tokens"] < 0:
-                        raise CorpusError(f"{where}: negative token count")
+                    counts = (row["prompt_tokens"], row["completion_tokens"])
+                    if not all(_is_token_count(count) for count in counts):
+                        raise CorpusError(f"{where}: token count outside 0..{MAX_TOKEN_COUNT}")
                     self._entries[row["key"]] = (
                         row["text"], row["prompt_tokens"], row["completion_tokens"]
                     )
@@ -307,7 +327,8 @@ def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Trans
 
 def _completion_fields(body: object, status: int) -> tuple[str, int | None, int | None]:
     """The reply text and the token counts the provider reports, None where it
-    reports none; TransportError unless the reply is text and each count an int >= 0."""
+    reports none; TransportError unless the reply is text and each count an int
+    in 0..MAX_TOKEN_COUNT."""
     try:
         text = body["choices"][0]["message"]["content"]
         usage = body.get("usage")
@@ -315,8 +336,7 @@ def _completion_fields(body: object, status: int) -> tuple[str, int | None, int 
         counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise TransportError(f"malformed completion body (status {status})") from exc
-    # bool is an int subclass, so a count's type is compared exactly.
-    usable = all(n is None or type(n) is int and n >= 0 for n in counts)
+    usable = all(n is None or _is_token_count(n) for n in counts)
     if not isinstance(text, str) or not usable:
         raise TransportError(f"malformed completion body (status {status})")
     return text, *counts

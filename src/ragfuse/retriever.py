@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import CorpusError, Passage, Question, read_rows
+from .corpus import CorpusError, Passage, Question, check_max_passage_words, read_rows
 
 # A bytes.translate table that keeps the bytes of [0-9a-z] and turns every
 # other byte into a space.
@@ -60,8 +60,7 @@ class RetrievalConfig:
 
     def validate(self) -> None:
         check_k(self.k)
-        if self.max_passage_words < 1:
-            raise ValueError("max_passage_words must be >= 1")
+        check_max_passage_words(self.max_passage_words)
         if self.k * self.max_passage_words >= self.model_input_budget:
             raise ValueError(
                 f"k * max_passage_words must stay below the model input budget: "

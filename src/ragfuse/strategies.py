@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import Passage, Question
 from .evaluation import normalize_answer
@@ -89,6 +89,113 @@ def majority_vote(answers: Sequence[Answer], ranks: Sequence[int]) -> Answer:
     return Answer.of(raw)
 
 
+# A request a strategy may make: (exchange key, prompt kind, renderer, the
+# renderer's inputs, distill candidates or None). The key, the passage ids
+# and the candidates fix the request. Plain tuples: a question builds dozens
+# of them, and most are memo hits that never render.
+_Call = tuple[str, PromptKind, Callable[..., str], tuple, tuple[str, ...] | None]
+
+# What the memo holds for a request: the exchange that answered it and the
+# answer classified from it, or the failure of a call sent ahead.
+Held = tuple[Exchange, Answer] | Exception
+
+
+def _pf_round(passages: Sequence[Passage], question: Question) -> list[_Call]:
+    """post_fusion's round: one call per passage, keyed by its rank."""
+    kind = PromptKind.POST_FUSION_SINGLE
+    return [
+        (f"pf:{index}", kind, render_post_fusion_single, (passage, question), None)
+        for index, passage in enumerate(passages)
+    ]
+
+
+def _first_round(
+    strategy: Strategy, passages: Sequence[Passage], question: Question
+) -> list[_Call]:
+    """The calls a strategy makes before any answer is known: the pf round
+    for post_fusion and pf_concat, else its one call with every passage in
+    the prompt (concat_pf's is concat's).
+
+    The renderers are looked up by their module names at call time; a
+    wrapper rebound to those names (a profiler, a test double) then sees
+    these calls too."""
+    if strategy is Strategy.POST_FUSION or strategy is Strategy.PF_CONCAT:
+        return _pf_round(passages, question)
+    if strategy is Strategy.PRUNING:
+        return [("pruning", PromptKind.PRUNING, render_pruning, (passages, question), None)]
+    if strategy is Strategy.SUMMARY:
+        return [("summary", PromptKind.SUMMARY, render_summary, (passages, question), None)]
+    # concat, and concat_pf's first call
+    return [("concat", PromptKind.CONCATENATION, render_concatenation, (passages, question), None)]
+
+
+def _require_passages(passages: Sequence[Passage], question: Question) -> None:
+    if not passages:
+        raise ValueError(
+            f"strategy needs at least one passage (question {question.question_id!r} has none)"
+        )
+
+
+def _memo_key(question: Question, passage_ids: tuple[str, ...], call: _Call) -> tuple:
+    return (question.question_id, call[0], passage_ids, call[4])
+
+
+def _fetch(
+    client: CompletionClient,
+    question: Question,
+    policy: UnknownPolicy,
+    max_response_tokens: int,
+    call: _Call,
+) -> Held:
+    """Render the call's prompt, send it and classify the reply. A failed
+    call is returned, its message prefixed with the question and exchange."""
+    exchange_key, kind, render, inputs, _ = call
+    request = CompletionRequest(
+        prompt_text=render(*inputs, sentinel=policy.sentinel),
+        max_response_tokens=max_response_tokens,
+        question_id=question.question_id,
+        exchange_key=exchange_key,
+    )
+    try:
+        response = client.complete(request)
+    except Exception as exc:
+        exc.args = (f"question {question.question_id} ({exchange_key}): {exc}",)
+        return exc
+    exchange = Exchange(kind, exchange_key, request, response)
+    return exchange, classify_response(response.text, policy)
+
+
+def send_ahead(
+    strategies: Iterable[Strategy],
+    passages: Sequence[Passage],
+    question: Question,
+    client: CompletionClient,
+    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
+    max_response_tokens: int = 64,
+    sender: Callable[[Callable, Iterable], Iterable] = map,
+) -> dict[tuple, Held]:
+    """Make the first-round calls of the strategies on one question, and
+    return a memo for run_strategy that holds their results.
+
+    The calls are the union of each strategy's unconditional first round
+    (see _first_round), in the order the strategies reach them, each once.
+    ``sender`` runs them as ``map`` does: the built-in map makes them one
+    after another, a thread pool's map makes them at once. A failed call is
+    held as its exception, which run_strategy raises when it reaches the key.
+    Conditional calls (concat_pf's pf round, pf_concat's distill) are left to
+    run_strategy.
+    """
+    _require_passages(passages, question)
+    passage_ids = tuple(p.passage_id for p in passages)
+    calls = {
+        _memo_key(question, passage_ids, call): call
+        for strategy in strategies
+        for call in _first_round(strategy, passages, question)
+    }
+    fetch = partial(_fetch, client, question, policy, max_response_tokens)
+    return dict(zip(calls, sender(fetch, calls.values())))
+
+
 def run_strategy(
     strategy: Strategy,
     passages: Sequence[Passage],
@@ -96,7 +203,7 @@ def run_strategy(
     client: CompletionClient,
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
-    memo: dict[tuple, tuple[Exchange, Answer]] | None = None,
+    memo: dict[tuple, Held] | None = None,
 ) -> StrategyTrace:
     """Run one strategy on one question's passages.
 
@@ -111,49 +218,28 @@ def run_strategy(
     ids of the strategy's passages, and for distill the candidates. A
     prompt is rendered and sent only when the memo lacks its key; a hit
     renders nothing, calls no client, classifies nothing, and its trace
-    records that same Exchange object. Passing one memo to all strategies
-    of a question sends each distinct request once: concat_pf repeats the
-    concat request, and concat_pf and pf_concat repeat post_fusion's
-    per-passage calls. The key leaves out the policy and the response cap,
-    so share one memo only among calls with the same policy and
-    max_response_tokens. The trace records every exchange, memo hits too,
-    so its tokens are attributed, not billed.
+    records that same Exchange object. A hit on a failure (see send_ahead)
+    raises it; a call that fails here is not memoized. Passing one memo to
+    all strategies of a question sends each distinct request once:
+    concat_pf repeats the concat request, and concat_pf and pf_concat repeat
+    post_fusion's per-passage calls. The key leaves out the policy and the
+    response cap, so share one memo only among calls with the same policy
+    and max_response_tokens. The trace records every exchange, memo hits
+    too, so its tokens are attributed, not billed.
     """
-    if not passages:
-        raise ValueError(
-            f"strategy needs at least one passage (question {question.question_id!r} has none)"
-        )
+    _require_passages(passages, question)
     passages = list(passages)
     passage_ids = tuple(p.passage_id for p in passages)
     if memo is None:
         memo = {}
-    sentinel = policy.sentinel
     exchanges: list[Exchange] = []
 
-    def ask(
-        kind: PromptKind,
-        render: Callable[..., str],
-        *inputs: object,
-        exchange_key: str | None = None,
-        candidates: tuple[str, ...] | None = None,
-    ) -> Answer:
-        exchange_key = exchange_key or kind.value
-        key = (question.question_id, exchange_key, passage_ids, candidates)
-        held = memo.get(key)
-        if held is None:
-            request = CompletionRequest(
-                prompt_text=render(*inputs, sentinel=sentinel),
-                max_response_tokens=max_response_tokens,
-                question_id=question.question_id,
-                exchange_key=exchange_key,
-            )
-            try:
-                response = client.complete(request)
-            except Exception as exc:
-                exc.args = (f"question {question.question_id} ({exchange_key}): {exc}",)
-                raise
-            exchange = Exchange(kind, exchange_key, request, response)
-            held = memo[key] = (exchange, classify_response(response.text, policy))
+    def ask(call: _Call) -> Answer:
+        key = _memo_key(question, passage_ids, call)
+        held = memo.get(key) or _fetch(client, question, policy, max_response_tokens, call)
+        if isinstance(held, Exception):
+            raise held
+        memo[key] = held
         exchange, answer = held
         exchanges.append(exchange)
         return answer
@@ -171,30 +257,15 @@ def run_strategy(
             **outcome,
         )
 
-    # The single-call strategies. Built per call so that the renderers are
-    # looked up by their module names at call time, like every other call
-    # here; a wrapper rebound to those names (a profiler, a test double)
-    # then sees these calls too.
-    single_call = {
-        Strategy.CONCAT: (PromptKind.CONCATENATION, render_concatenation),
-        Strategy.PRUNING: (PromptKind.PRUNING, render_pruning),
-        Strategy.SUMMARY: (PromptKind.SUMMARY, render_summary),
-    }
+    answers = tuple(ask(call) for call in _first_round(strategy, passages, question))
     rounds_used = 1
-    first = Strategy.CONCAT if strategy is Strategy.CONCAT_PF else strategy
-    if first in single_call:
-        kind, render = single_call[first]
-        answer = ask(kind, render, passages, question)
-        if strategy is not Strategy.CONCAT_PF or not answer.is_unknown:
-            return finish(answer, rounds_used)
+    if strategy is Strategy.CONCAT_PF:
+        if not answers[0].is_unknown:
+            return finish(answers[0], rounds_used)
         rounds_used = 2
-    answers = tuple(
-        ask(
-            PromptKind.POST_FUSION_SINGLE, render_post_fusion_single, passage, question,
-            exchange_key=f"pf:{index}",
-        )
-        for index, passage in enumerate(passages)
-    )
+        answers = tuple(ask(call) for call in _pf_round(passages, question))
+    elif strategy not in (Strategy.POST_FUSION, Strategy.PF_CONCAT):
+        return finish(answers[0], rounds_used)
     if strategy is not Strategy.PF_CONCAT:
         final = majority_vote(answers, range(len(answers)))
         return finish(final, rounds_used, finalized_by_vote=True, per_passage_answers=answers)
@@ -203,8 +274,10 @@ def run_strategy(
         return finish(UNKNOWN, rounds_used, per_passage_answers=answers, candidate_pool=())
     candidates = tuple(dict.fromkeys(a.text for a in answers if not a.is_unknown))
     final = ask(
-        PromptKind.DISTILL, render_distill, survivors, question, list(candidates),
-        candidates=candidates,
+        (
+            "distill", PromptKind.DISTILL, render_distill,
+            (survivors, question, list(candidates)), candidates,
+        )
     )
     off_pool = not final.is_unknown and normalize_answer(final.text) not in {
         normalize_answer(candidate) for candidate in candidates

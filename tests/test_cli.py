@@ -1125,6 +1125,105 @@ def test_resumed_live_run_sends_each_distinct_payload_once(fail_after, workers):
         assert (root / "resumed" / "records.jsonl").read_bytes() == records
 
 
+class GatedEndpoint:
+    """Fake live transport answering with the rule backend, refusing with
+    HTTP 400 each prompt that holds all of ``refuse``. It records every
+    prompt and the peak number of calls in flight. The first calls hold until
+    ``fill`` are in flight at once, or a second has passed, so that a run
+    which can overlap calls does so whatever the thread timing."""
+
+    def __init__(self, fill: int, refuse: tuple[str, ...] = ()) -> None:
+        self.fill = fill
+        self.refuse = refuse
+        self.prompts: list[str] = []
+        self.inflight = self.peak = 0
+        self._filled = threading.Event()
+        self._lock = threading.Lock()
+        self._rule = RuleClient(load_questions(FIXTURES / "toy_questions.jsonl"))
+
+    def __call__(self, payload: dict) -> tuple[int, dict]:
+        prompt = payload["messages"][0]["content"]
+        with self._lock:
+            self.prompts.append(prompt)
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+            if self.inflight >= self.fill:
+                self._filled.set()
+        if not self._filled.wait(timeout=1.0):
+            self._filled.set()  # a run that cannot overlap calls waits once
+        try:
+            if self.refuse and all(part in prompt for part in self.refuse):
+                return 400, {}
+            text = self._rule.complete(CompletionRequest(prompt_text=prompt)).text
+            return 200, {"choices": [{"message": {"content": text}}]}
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+def gated_live_run(root: Path, endpoint: GatedEndpoint, capsys, **fields) -> tuple[int, str, str]:
+    """(exit code, stdout with the out path blanked, stderr) of a live run on
+    the toy fixture at k 5 into root / "out"; no pool thread outlives it."""
+    fields = {"k": 5, "strategies": "all", "cache": root / "cache.jsonl", **_LIVE, **fields}
+    root.mkdir(exist_ok=True)
+    config_path = write_config(root / "run.yaml", out=root / "out", **fields)
+    with mock.patch.object(llm, "_http_transport", lambda *args: endpoint):
+        code = main(["run", "--config", str(config_path)])
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+    captured = capsys.readouterr()
+    return code, captured.out.replace(str(root / "out"), "<out>"), captured.err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_live_run_sends_a_questions_first_round_at_once(tmp_path, capsys, workers):
+    endpoint = GatedEndpoint(fill=4)
+    assert gated_live_run(tmp_path, endpoint, capsys, workers=workers, max_in_flight=4)[0] == 0
+    # 8 first-round calls a question at k 5 fill the gate, and never overflow it
+    assert endpoint.peak == 4
+
+
+@pytest.mark.parametrize("strategies", ["all", "pf_concat,concat"])
+def test_sending_ahead_leaves_every_artifact_and_the_printed_lines_unchanged(
+    tmp_path, capsys, strategies
+):
+    runs = {}
+    for in_flight in (1, 4):
+        endpoint = GatedEndpoint(fill=in_flight)
+        root = tmp_path / str(in_flight)
+        code, out, err = gated_live_run(
+            root, endpoint, capsys, strategies=strategies, max_in_flight=in_flight
+        )
+        assert (code, err, endpoint.peak) == (0, "", in_flight)
+        files = {
+            name: (root / "out" / name).read_bytes()
+            for name in (
+                "traces.jsonl", "exchanges.jsonl", "records.jsonl", "tokens.csv", "report.json",
+                "report.csv",
+            )
+        }
+        runs[in_flight] = (out, files, sorted(endpoint.prompts))
+    assert runs[1] == runs[4]
+    assert "usage: billed calls=" in runs[4][0]
+
+
+def test_a_failed_first_round_call_ends_the_run_with_the_error_of_a_call_made_in_turn(
+    tmp_path, capsys
+):
+    # q01's pruning call is refused; its summary call comes after it
+    pruning = ("Irrelevant passages:", "how tall is mount carvel")
+    endpoint = GatedEndpoint(fill=4, refuse=pruning)
+    code, _, err = gated_live_run(tmp_path, endpoint, capsys, max_in_flight=4)
+    assert code == 2
+    assert err == "error: question q01 (pruning): HTTP 400 from completion endpoint: {}\n"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["error"] == err[len("error: "):-1]
+    # q01's whole first round went out, the summary call after the refused
+    # one too, and no call of a later round
+    q01 = [p for p in endpoint.prompts if "how tall is mount carvel" in p]
+    assert len(q01) == 8
+    assert any(p.startswith("Answer the question using the numbered passages. First write") for p in q01)
+
+
 def test_format_report_has_one_line_per_strategy(tmp_path):
     config = run_config(tmp_path)
     report = cmd_run(config)["no_gold"]

@@ -13,6 +13,7 @@ from ragfuse.corpus import (
     load_corpus,
     load_questions,
 )
+from ragfuse.retriever import RetrievalConfig
 
 
 def doc(doc_id: str, words: int) -> Document:
@@ -42,9 +43,13 @@ def test_chunks_partition_the_document_words():
     assert all(p.title == document.title for p in passages)
 
 
-def test_chunk_rejects_nonpositive_max_words():
-    with pytest.raises(ValueError):
-        chunk_document(doc("d", 10), 0)
+@pytest.mark.parametrize("size", [0, -3])
+def test_chunking_and_the_config_reject_a_nonpositive_passage_size_in_one_wording(size):
+    message = f"max_passage_words must be >= 1, got {size}"
+    with pytest.raises(ValueError, match=message):
+        chunk_document(doc("d", 10), size)
+    with pytest.raises(ValueError, match=message):
+        RetrievalConfig(max_passage_words=size).validate()
 
 
 def test_chunk_corpus_preserves_document_order():

@@ -23,6 +23,7 @@ from ragfuse.llm import (
     RuleError,
     ScriptClient,
     ScriptError,
+    MAX_TOKEN_COUNT,
     TransportError,
     count_tokens,
     load_script,
@@ -327,6 +328,8 @@ def test_live_client_malformed_body_is_a_transport_error():
         ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": True}),
         ok_body("Paris", {"prompt_tokens": -7, "completion_tokens": 10**30}),
         ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": -1}),
+        ok_body("Paris", {"prompt_tokens": MAX_TOKEN_COUNT + 1, "completion_tokens": 1}),
+        ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": 10**30}),
     ],
 )
 def test_live_client_rejects_an_unusable_body_without_caching_or_billing(tmp_path, body):
@@ -336,6 +339,24 @@ def test_live_client_rejects_an_unusable_body_without_caching_or_billing(tmp_pat
         client.complete(CompletionRequest(prompt_text="x"))
     assert len(calls) == 1
     assert not cache_path.exists()
+
+
+def test_token_counts_up_to_the_cap_are_billed_and_cached_as_given(tmp_path):
+    cache_path = tmp_path / "cache.jsonl"
+    usage = {"prompt_tokens": MAX_TOKEN_COUNT, "completion_tokens": MAX_TOKEN_COUNT}
+    client, _, _ = live_client([(200, ok_body("Paris", usage))], cache=ResponseCache(cache_path))
+    response = client.complete(CompletionRequest(prompt_text="x"))
+    assert (response.prompt_tokens, response.completion_tokens) == (MAX_TOKEN_COUNT,) * 2
+    (entry,) = ResponseCache(cache_path)._entries.values()
+    assert entry == ("Paris", MAX_TOKEN_COUNT, MAX_TOKEN_COUNT)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_a_nonpositive_response_cap_is_refused_before_any_payload_is_sent(cap):
+    client, calls, _ = live_client([(200, ok_body("Paris"))])
+    with pytest.raises(ValueError, match=f"max_response_tokens must be >= 1, got {cap}"):
+        client.complete(CompletionRequest(prompt_text="x", max_response_tokens=cap))
+    assert calls == []
 
 
 def test_live_client_enforces_max_in_flight():
@@ -604,11 +625,13 @@ def test_response_cache_rejects_a_bad_line_in_the_middle(tmp_path):
     cache = ResponseCache(path)
     cache.put("a", "alpha", 1, 1)
     good = path.read_text(encoding="utf-8")
-    negative = (
+    out_of_range = (
         '{"key": "b", "text": "t", "prompt_tokens": -7, "completion_tokens": 1}\n',
         '{"key": "b", "text": "t", "prompt_tokens": 1, "completion_tokens": -1}\n',
+        f'{{"key": "b", "text": "t", "prompt_tokens": {MAX_TOKEN_COUNT + 1}, "completion_tokens": 1}}\n',
+        '{"key": "b", "text": "t", "prompt_tokens": 1, "completion_tokens": 1000000000000000000000000000000}\n',
     )
-    for bad in ('{"key": "b", "text": "be\n', "[1, 2]\n", '{"key": "b"}\n', *negative):
+    for bad in ('{"key": "b", "text": "be\n', "[1, 2]\n", '{"key": "b"}\n', *out_of_range):
         path.write_text(good + bad + good, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"{path.name}:2: unreadable cache entry"):
             ResponseCache(path)

@@ -19,6 +19,7 @@ from ragfuse.strategies import (
     run_pruning,
     run_strategy,
     run_summary,
+    send_ahead,
 )
 
 QUESTION = make_question("q1", "what is the capital of France", ("Paris",))
@@ -399,3 +400,52 @@ def test_a_shared_memo_sends_each_distinct_live_payload_once(reply, distill):
         run_strategy(strategy, PASSAGES, QUESTION, client, memo=memo)
     # concat, pruning, summary, one call per passage, and the distill if any
     assert len(payloads) == len(set(payloads)) == len(PASSAGES) + 3 + distill
+
+
+def test_send_ahead_makes_the_union_of_the_first_rounds_in_the_order_strategies_reach_it():
+    client = RuleClient([QUESTION])
+    reached = spy_backend(client)
+    memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client)
+    first_round = ["concat", *(f"pf:{i}" for i in range(len(PASSAGES))), "pruning", "summary"]
+    assert [request.exchange_key for request in reached] == first_round
+    assert len(memo) == len(first_round)
+    traces = [run_strategy(s, PASSAGES, QUESTION, client, memo=memo) for s in Strategy]
+    assert traces == [run_strategy(s, PASSAGES, QUESTION, RuleClient([QUESTION])) for s in Strategy]
+    # only the conditional calls were left: here pf_concat's distill
+    assert [request.exchange_key for request in reached[len(first_round):]] == ["distill"]
+    # concat_pf's pf round is conditional, so it is not sent ahead
+    reached.clear()
+    assert len(send_ahead([Strategy.CONCAT_PF], PASSAGES, QUESTION, client)) == 1
+    assert [request.exchange_key for request in reached] == ["concat"]
+
+
+def test_send_ahead_passes_its_calls_to_the_sender_as_map_takes_them():
+    client = RuleClient([QUESTION])
+    seen = []
+
+    def sender(fetch, calls):
+        calls = list(calls)
+        seen.append(len(calls))
+        return [fetch(call) for call in calls]
+
+    send_ahead([Strategy.PF_CONCAT, Strategy.CONCAT], PASSAGES, QUESTION, client, sender=sender)
+    assert seen == [len(PASSAGES) + 1]
+    with pytest.raises(ValueError, match="question 'q1' has none"):
+        send_ahead(list(Strategy), [], QUESTION, client, sender=sender)
+    assert seen == [len(PASSAGES) + 1]
+
+
+def test_a_failed_call_sent_ahead_is_raised_where_a_strategy_reaches_it():
+    client = script_for({"concat": "Paris", "pf:0": "Paris", "pruning": "Paris"})
+    reached = spy_backend(client)
+    memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client)
+    # every first-round call went out, the ones after the failed pf:1 too
+    assert len(reached) == len(PASSAGES) + 3
+    assert run_concatenation(PASSAGES, QUESTION, client, memo=memo).final == Answer.of("Paris")
+    for _ in range(2):  # raised as a call made in turn raises it, once prefixed
+        with pytest.raises(ScriptError) as raised:
+            run_post_fusion(PASSAGES, QUESTION, client, memo=memo)
+        assert str(raised.value) == "question q1 (pf:1): no scripted response for question 'q1', exchange 'pf:1'"
+    with pytest.raises(ScriptError, match=r"^question q1 \(summary\)"):
+        run_summary(PASSAGES, QUESTION, client, memo=memo)
+    assert len(reached) == len(PASSAGES) + 3
