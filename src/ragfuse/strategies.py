@@ -89,44 +89,20 @@ def majority_vote(answers: Sequence[Answer], ranks: Sequence[int]) -> Answer:
     return Answer.of(raw)
 
 
-# A request a strategy may make: (exchange key, prompt kind, renderer, the
-# renderer's inputs, distill candidates or None). The key, the passage ids
-# and the candidates fix the request. Plain tuples: a question builds dozens
-# of them, and most are memo hits that never render.
-_Call = tuple[str, PromptKind, Callable[..., str], tuple, tuple[str, ...] | None]
-
-# What the memo holds for a request: the exchange that answered it and the
-# answer classified from it, or the failure of a call sent ahead.
+# What a memo bucket holds for an exchange key: the exchange that answered
+# it and the answer classified from it, or the failure of a call sent ahead.
 Held = tuple[Exchange, Answer] | Exception
 
 
-def _pf_round(passages: Sequence[Passage], question: Question) -> list[_Call]:
-    """post_fusion's round: one call per passage, keyed by its rank."""
-    kind = PromptKind.POST_FUSION_SINGLE
-    return [
-        (f"pf:{index}", kind, render_post_fusion_single, (passage, question), None)
-        for index, passage in enumerate(passages)
-    ]
-
-
-def _first_round(
-    strategy: Strategy, passages: Sequence[Passage], question: Question
-) -> list[_Call]:
-    """The calls a strategy makes before any answer is known: the pf round
-    for post_fusion and pf_concat, else its one call with every passage in
-    the prompt (concat_pf's is concat's).
-
-    The renderers are looked up by their module names at call time; a
-    wrapper rebound to those names (a profiler, a test double) then sees
-    these calls too."""
+def _first_round(strategy: Strategy, k: int) -> list[str]:
+    """The exchange keys a strategy asks for before any answer is known: the
+    pf round over k passages for post_fusion and pf_concat, else its one
+    call with every passage in the prompt (concat_pf's is concat's)."""
     if strategy is Strategy.POST_FUSION or strategy is Strategy.PF_CONCAT:
-        return _pf_round(passages, question)
-    if strategy is Strategy.PRUNING:
-        return [("pruning", PromptKind.PRUNING, render_pruning, (passages, question), None)]
-    if strategy is Strategy.SUMMARY:
-        return [("summary", PromptKind.SUMMARY, render_summary, (passages, question), None)]
-    # concat, and concat_pf's first call
-    return [("concat", PromptKind.CONCATENATION, render_concatenation, (passages, question), None)]
+        return [f"pf:{index}" for index in range(k)]
+    if strategy is Strategy.PRUNING or strategy is Strategy.SUMMARY:
+        return [strategy.value]  # the key is the strategy's name
+    return ["concat"]  # concat, and concat_pf's first call
 
 
 def _require_passages(passages: Sequence[Passage], question: Question) -> None:
@@ -136,20 +112,36 @@ def _require_passages(passages: Sequence[Passage], question: Question) -> None:
         )
 
 
-def _memo_key(question: Question, passage_ids: tuple[str, ...], call: _Call) -> tuple:
-    return (question.question_id, call[0], passage_ids, call[4])
-
-
 def _fetch(
     client: CompletionClient,
     question: Question,
     policy: UnknownPolicy,
     max_response_tokens: int,
-    call: _Call,
+    passages: Sequence[Passage],
+    exchange_key: str,
+    candidates: tuple[str, ...] = (),
 ) -> Held:
-    """Render the call's prompt, send it and classify the reply. A failed
-    call is returned, its message prefixed with the question and exchange."""
-    exchange_key, kind, render, inputs, _ = call
+    """Render the prompt the exchange key names, send it and classify the
+    reply. ``passages`` are the question's, or for distill the survivors,
+    whose answers are ``candidates``. A failed call is returned, its message
+    prefixed with the question and exchange.
+
+    The renderers are looked up by their module names at call time; a
+    wrapper rebound to those names (a profiler, a test double) then sees
+    these calls too."""
+    inputs: tuple = (passages, question)
+    if exchange_key.startswith("pf:"):
+        kind, render = PromptKind.POST_FUSION_SINGLE, render_post_fusion_single
+        inputs = (passages[int(exchange_key[3:])], question)
+    elif exchange_key == "distill":
+        kind, render = PromptKind.DISTILL, render_distill
+        inputs = (passages, question, list(candidates))
+    elif exchange_key == "pruning":
+        kind, render = PromptKind.PRUNING, render_pruning
+    elif exchange_key == "summary":
+        kind, render = PromptKind.SUMMARY, render_summary
+    else:
+        kind, render = PromptKind.CONCATENATION, render_concatenation
     request = CompletionRequest(
         prompt_text=render(*inputs, sentinel=policy.sentinel),
         max_response_tokens=max_response_tokens,
@@ -173,27 +165,23 @@ def send_ahead(
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
     sender: Callable[[Callable, Iterable], Iterable] = map,
-) -> dict[tuple, Held]:
+) -> dict[tuple, dict[str, Held]]:
     """Make the first-round calls of the strategies on one question, and
     return a memo for run_strategy that holds their results.
 
     The calls are the union of each strategy's unconditional first round
     (see _first_round), in the order the strategies reach them, each once.
-    ``sender`` runs them as ``map`` does: the built-in map makes them one
-    after another, a thread pool's map makes them at once. A failed call is
-    held as its exception, which run_strategy raises when it reaches the key.
-    Conditional calls (concat_pf's pf round, pf_concat's distill) are left to
-    run_strategy.
+    ``sender`` runs them over their exchange keys as ``map`` does: the
+    built-in map makes them one after another, a thread pool's map makes
+    them at once. A failed call is held as its exception, which run_strategy
+    raises when it reaches the key. Conditional calls (concat_pf's pf round,
+    pf_concat's distill) are left to run_strategy.
     """
     _require_passages(passages, question)
+    keys = list(dict.fromkeys(key for s in strategies for key in _first_round(s, len(passages))))
+    fetch = partial(_fetch, client, question, policy, max_response_tokens, passages)
     passage_ids = tuple(p.passage_id for p in passages)
-    calls = {
-        _memo_key(question, passage_ids, call): call
-        for strategy in strategies
-        for call in _first_round(strategy, passages, question)
-    }
-    fetch = partial(_fetch, client, question, policy, max_response_tokens)
-    return dict(zip(calls, sender(fetch, calls.values())))
+    return {(question.question_id, passage_ids): dict(zip(keys, sender(fetch, keys)))}
 
 
 def run_strategy(
@@ -203,7 +191,7 @@ def run_strategy(
     client: CompletionClient,
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
-    memo: dict[tuple, Held] | None = None,
+    memo: dict[tuple, dict[str, Held]] | None = None,
 ) -> StrategyTrace:
     """Run one strategy on one question's passages.
 
@@ -213,15 +201,17 @@ def run_strategy(
     concat call and falls back to the round on Unknown; pf_concat runs the
     round, then distills the surviving answers in one more call.
 
-    ``memo`` maps what fixes a request to the exchange that answered it and
-    the answer classified from it: the question id, the exchange key, the
-    ids of the strategy's passages, and for distill the candidates. A
-    prompt is rendered and sent only when the memo lacks its key; a hit
-    renders nothing, calls no client, classifies nothing, and its trace
-    records that same Exchange object. A hit on a failure (see send_ahead)
-    raises it; a call that fails here is not memoized. Passing one memo to
-    all strategies of a question sends each distinct request once:
-    concat_pf repeats the concat request, and concat_pf and pf_concat repeat
+    ``memo`` maps a question id and the ids of the strategy's passages to a
+    bucket, which maps an exchange key (``concat``, ``pf:3``, ``distill``,
+    ...) to the exchange that answered it and the answer classified from
+    it. Within a bucket the key alone fixes the request: distill's
+    candidates follow from the pf answers the same bucket holds. A prompt
+    is rendered and sent only when the bucket lacks its key; a hit renders
+    nothing, calls no client, classifies nothing, and its trace records
+    that same Exchange object. A hit on a failure (see send_ahead) raises
+    it; a call that fails here is not memoized. Passing one memo to all
+    strategies of a question sends each distinct request once: concat_pf
+    repeats the concat request, and concat_pf and pf_concat repeat
     post_fusion's per-passage calls. The key leaves out the policy and the
     response cap, so share one memo only among calls with the same policy
     and max_response_tokens. The trace records every exchange, memo hits
@@ -230,16 +220,16 @@ def run_strategy(
     _require_passages(passages, question)
     passages = list(passages)
     passage_ids = tuple(p.passage_id for p in passages)
-    if memo is None:
-        memo = {}
+    bucket = {} if memo is None else memo.setdefault((question.question_id, passage_ids), {})
     exchanges: list[Exchange] = []
 
-    def ask(call: _Call) -> Answer:
-        key = _memo_key(question, passage_ids, call)
-        held = memo.get(key) or _fetch(client, question, policy, max_response_tokens, call)
+    def ask(exchange_key: str, given: list[Passage] = passages, candidates: tuple = ()) -> Answer:
+        held = bucket.get(exchange_key) or _fetch(
+            client, question, policy, max_response_tokens, given, exchange_key, candidates
+        )
         if isinstance(held, Exception):
             raise held
-        memo[key] = held
+        bucket[exchange_key] = held
         exchange, answer = held
         exchanges.append(exchange)
         return answer
@@ -257,13 +247,13 @@ def run_strategy(
             **outcome,
         )
 
-    answers = tuple(ask(call) for call in _first_round(strategy, passages, question))
+    answers = tuple(ask(key) for key in _first_round(strategy, len(passages)))
     rounds_used = 1
     if strategy is Strategy.CONCAT_PF:
         if not answers[0].is_unknown:
             return finish(answers[0], rounds_used)
         rounds_used = 2
-        answers = tuple(ask(call) for call in _pf_round(passages, question))
+        answers = tuple(ask(key) for key in _first_round(Strategy.POST_FUSION, len(passages)))
     elif strategy not in (Strategy.POST_FUSION, Strategy.PF_CONCAT):
         return finish(answers[0], rounds_used)
     if strategy is not Strategy.PF_CONCAT:
@@ -273,12 +263,7 @@ def run_strategy(
     if not survivors:
         return finish(UNKNOWN, rounds_used, per_passage_answers=answers, candidate_pool=())
     candidates = tuple(dict.fromkeys(a.text for a in answers if not a.is_unknown))
-    final = ask(
-        (
-            "distill", PromptKind.DISTILL, render_distill,
-            (survivors, question, list(candidates)), candidates,
-        )
-    )
+    final = ask("distill", survivors, candidates)
     off_pool = not final.is_unknown and normalize_answer(final.text) not in {
         normalize_answer(candidate) for candidate in candidates
     }

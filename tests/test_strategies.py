@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ragfuse.strategies as strategies
 from conftest import make_passage, make_question, spy_backend
@@ -268,7 +270,8 @@ def test_errors_name_the_question_and_exchange():
     run_concatenation(PASSAGES, QUESTION, client, memo=memo)
     with pytest.raises(ScriptError, match=r"question q1 \(pf:1\)"):
         run_concat_pf(PASSAGES, QUESTION, client, memo=memo)
-    assert sorted(exchange.exchange_key for exchange, _ in memo.values()) == ["concat", "pf:0"]
+    (bucket,) = memo.values()
+    assert sorted(exchange.exchange_key for exchange, _ in bucket.values()) == ["concat", "pf:0"]
 
 
 def test_run_strategy_dispatches_every_member():
@@ -298,7 +301,8 @@ def test_a_shared_memo_leaves_every_toy_trace_unchanged(toy_questions, toy_passa
         assert shared == fresh
         # each distinct request reached the client once
         requests = {e.request for trace in shared for e in trace.exchanges}
-        assert len(reached) == len(memo) == len(requests)
+        (bucket,) = memo.values()
+        assert len(reached) == len(bucket) == len(requests)
 
 
 def test_a_memo_hit_reuses_the_exchange_and_its_classification(
@@ -321,13 +325,14 @@ def test_a_memo_hit_reuses_the_exchange_and_its_classification(
         traces = [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
         exchanges = [e for trace in traces for e in trace.exchanges]
         # every exchange of a request is the one object the memo holds for it
-        held = {e.request: e for e, _ in memo.values()}
-        assert len(held) == len(memo)
+        (bucket,) = memo.values()
+        held = {e.request: e for e, _ in bucket.values()}
+        assert len(held) == len(bucket)
         assert all(e is held[e.request] for e in exchanges)
-        assert len({id(e) for e in exchanges}) == len(memo) < len(exchanges)
+        assert len({id(e) for e in exchanges}) == len(bucket) < len(exchanges)
         # one classification per distinct request, and hits return its answer
-        assert len(classified) == len(memo)
-        assert all(answer == classify_response(e.response.text) for e, answer in memo.values())
+        assert len(classified) == len(bucket)
+        assert all(answer == classify_response(e.response.text) for e, answer in bucket.values())
 
 
 def test_a_shared_memo_renders_each_distinct_request_once(
@@ -358,7 +363,8 @@ def test_a_shared_memo_renders_each_distinct_request_once(
         memo = {}
         traces = [run_strategy(s, passages, question, client, memo=memo) for s in Strategy]
         requests = {e.request for trace in traces for e in trace.exchanges}
-        assert len(renders) == len(requests) == len(reached) == len(memo), question.question_id
+        (bucket,) = memo.values()
+        assert len(renders) == len(requests) == len(reached) == len(bucket), question.question_id
 
 
 def test_a_memo_shared_across_passage_lists_keys_by_them():
@@ -408,14 +414,16 @@ def test_send_ahead_makes_the_union_of_the_first_rounds_in_the_order_strategies_
     memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client)
     first_round = ["concat", *(f"pf:{i}" for i in range(len(PASSAGES))), "pruning", "summary"]
     assert [request.exchange_key for request in reached] == first_round
-    assert len(memo) == len(first_round)
+    (bucket,) = memo.values()
+    assert len(bucket) == len(first_round)
     traces = [run_strategy(s, PASSAGES, QUESTION, client, memo=memo) for s in Strategy]
     assert traces == [run_strategy(s, PASSAGES, QUESTION, RuleClient([QUESTION])) for s in Strategy]
     # only the conditional calls were left: here pf_concat's distill
     assert [request.exchange_key for request in reached[len(first_round):]] == ["distill"]
     # concat_pf's pf round is conditional, so it is not sent ahead
     reached.clear()
-    assert len(send_ahead([Strategy.CONCAT_PF], PASSAGES, QUESTION, client)) == 1
+    (bucket,) = send_ahead([Strategy.CONCAT_PF], PASSAGES, QUESTION, client).values()
+    assert len(bucket) == 1
     assert [request.exchange_key for request in reached] == ["concat"]
 
 
@@ -449,3 +457,66 @@ def test_a_failed_call_sent_ahead_is_raised_where_a_strategy_reaches_it():
     with pytest.raises(ScriptError, match=r"^question q1 \(summary\)"):
         run_summary(PASSAGES, QUESTION, client, memo=memo)
     assert len(reached) == len(PASSAGES) + 3
+
+
+@pytest.mark.parametrize(
+    "strategies_, entries, raised",
+    [
+        # pf_concat's distill is reached before summary's held failure
+        ([Strategy.PF_CONCAT, Strategy.SUMMARY], {f"pf:{i}": "Paris" for i in range(3)}, "distill"),
+        # concat_pf's fallback round is reached before summary's held failure
+        ([Strategy.CONCAT_PF, Strategy.SUMMARY], {"concat": "unknown"}, "pf:0"),
+    ],
+)
+def test_a_conditional_call_raises_before_a_later_strategys_held_failure(
+    strategies_, entries, raised
+):
+    client = script_for(entries)
+    memo = send_ahead(strategies_, PASSAGES, QUESTION, client)  # holds summary's failure
+    with pytest.raises(ScriptError) as error:
+        for strategy in strategies_:  # as a run does
+            run_strategy(strategy, PASSAGES, QUESTION, client, memo=memo)
+    assert str(error.value) == (
+        f"question q1 ({raised}): no scripted response for question 'q1', exchange '{raised}'"
+    )
+
+
+POOL = [*PASSAGES, make_passage("d#0", "the seine flows through paris", title="Seine")]
+REPLY = st.sampled_from(["unknown", "Paris", "paris.", "Berlin", "Lyon"])
+KEYS = ("concat", "pruning", "summary", "distill", *(f"pf:{i}" for i in range(len(POOL))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    strategies_=st.lists(st.sampled_from(Strategy), min_size=1, unique=True),
+    k=st.integers(min_value=1, max_value=len(POOL)),
+    replies=st.fixed_dictionaries(dict.fromkeys(KEYS, REPLY)),
+)
+@example(  # concat_pf falls back, pf_concat distills
+    strategies_=[Strategy.CONCAT_PF, Strategy.PF_CONCAT],
+    k=2,
+    replies={"concat": "unknown", "pruning": "x", "summary": "x", "distill": "Paris",
+             "pf:0": "Paris", "pf:1": "unknown", "pf:2": "x", "pf:3": "x"},
+)
+def test_a_shared_memo_matches_fresh_runs_and_sends_each_request_once(strategies_, k, replies):
+    passages = POOL[:k]
+    client = script_for(replies)
+    reached = spy_backend(client)
+    memo = send_ahead(strategies_, passages, QUESTION, client)
+    # send_ahead reaches the union of the first rounds, in the order the strategies reach them
+    first_round = {}
+    for strategy in strategies_:
+        if strategy in (Strategy.POST_FUSION, Strategy.PF_CONCAT):
+            first_round.update(dict.fromkeys(f"pf:{i}" for i in range(k)))
+        elif strategy in (Strategy.CONCAT, Strategy.CONCAT_PF):
+            first_round["concat"] = None
+        else:
+            first_round[strategy.value] = None
+    assert [request.exchange_key for request in reached] == list(first_round)
+    shared = [run_strategy(s, passages, QUESTION, client, memo=memo) for s in strategies_]
+    fresh = [run_strategy(s, passages, QUESTION, script_for(replies)) for s in strategies_]
+    assert shared == fresh
+    # each distinct request reached the backend once
+    requests = {e.request for trace in shared for e in trace.exchanges}
+    assert len(reached) == len(set(reached)) == len(requests)
+    assert set(reached) == requests
