@@ -47,6 +47,7 @@ from .llm import (
     ScriptClient,
     ScriptError,
     TransportError,
+    check_endpoint,
     check_live_settings,
     check_max_response_tokens,
     load_script,
@@ -144,8 +145,10 @@ class RunConfig(RetrievalConfig):
                 raise ValueError("script backend needs a script file")
             if not self.script.exists():
                 raise ValueError(f"script file not found: {self.script}")
-        if self.backend == "live" and (not self.endpoint or not self.model):
-            raise ValueError("live backend needs both endpoint and model")
+        if self.backend == "live":
+            if not self.endpoint or not self.model:
+                raise ValueError("live backend needs both endpoint and model")
+            check_endpoint(self.endpoint)
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
         if self.workers < 1:
@@ -412,15 +415,10 @@ def _run_single(config: RunConfig) -> EvalReport:
     client = make_client(config, questions)
     policy = config.policy()
 
-    # A live client can make calls at once: each question's first round goes
-    # out through one pool of max_in_flight threads. Other clients make them
-    # one after another, in the same order.
-    sending = (
-        ThreadPoolExecutor(max_workers=config.max_in_flight)
-        if isinstance(client, LiveClient) and config.max_in_flight > 1
-        else None
-    )
-    sender = sending.map if sending is not None else map
+    # A live client waits on the endpoint, so each question's first round goes out
+    # through one pool of max_in_flight threads. Offline clients make each call
+    # when a strategy reaches it: under the interpreter lock a pool overlaps nothing.
+    sending = ThreadPoolExecutor(config.max_in_flight) if isinstance(client, LiveClient) else None
 
     def work(question: Question) -> tuple[list[tuple[StrategyTrace, EvalRecord]], list[Exchange]]:
         """The question's (trace, record) pairs, and its distinct exchanges,
@@ -429,14 +427,9 @@ def _run_single(config: RunConfig) -> EvalReport:
         selected = _passages_for_question(question, index, rankings, by_id, config)
         # One memo per question: its strategies repeat each other's calls.
         # Only this thread reads or writes it, so it needs no lock.
-        memo = send_ahead(
-            config.strategies,
-            selected,
-            question,
-            client,
-            policy=policy,
-            max_response_tokens=config.max_response_tokens,
-            sender=sender,
+        memo = {} if sending is None else send_ahead(
+            config.strategies, selected, question, client, sending.submit,
+            policy=policy, max_response_tokens=config.max_response_tokens,
         )
         results = []
         for strategy in config.strategies:
@@ -503,10 +496,12 @@ def _run_single(config: RunConfig) -> EvalReport:
         finally:
             # Queued questions never start; running ones finish, so no worker
             # still bills the endpoint or appends to the cache after return.
-            # Questions first: a running one may still wait on its first round.
-            for pool in (executor, sending):
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
+            # Questions first: a running one may still submit its first round.
+            # No submitted call is cancelled: a started question sends it whole.
+            if executor is not None:
+                executor.shutdown(wait=True, cancel_futures=True)
+            if sending is not None:
+                sending.shutdown(wait=True)
             # Written even on failure so a crashed run leaves a partial
             # manifest next to whatever rows completed.
             report = aggregate(all_records, config.nm_denominator)

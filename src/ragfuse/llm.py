@@ -6,6 +6,7 @@ import json
 import math
 import threading
 import time
+import urllib.parse  # pathlib imports it too, so it costs an offline run nothing
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -283,20 +284,24 @@ Transport = Callable[[dict], tuple[int, dict]]
 _RETRY_DELAYS = (1.0, 2.0, 4.0)
 
 
-def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Transport:
-    """POST each payload through urllib.request, which takes proxies from the
-    HTTP(S)_PROXY/NO_PROXY environment. Raises ValueError unless endpoint is
-    an http(s) URL with a host, which also keeps urlopen's file: and ftp:
+def check_endpoint(endpoint: str) -> None:
+    """An http(s) URL with a host, which also keeps urlopen's file: and ftp:
     handlers out of reach."""
-    # Imported here so that runs on the offline backends do not pay for it.
-    import http.client
-    import urllib.error
-    import urllib.parse
-    import urllib.request
-
     parts = urllib.parse.urlsplit(endpoint)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"endpoint must be an http:// or https:// URL with a host: {endpoint!r}")
+
+
+def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Transport:
+    """POST each payload through urllib.request, which takes proxies from the
+    HTTP(S)_PROXY/NO_PROXY environment. Raises ValueError unless endpoint
+    passes check_endpoint."""
+    check_endpoint(endpoint)
+    # Imported here so that runs on the offline backends do not pay for it.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -89,11 +90,6 @@ def majority_vote(answers: Sequence[Answer], ranks: Sequence[int]) -> Answer:
     return Answer.of(raw)
 
 
-# What a memo bucket holds for an exchange key: the exchange that answered
-# it and the answer classified from it, or the failure of a call sent ahead.
-Held = tuple[Exchange, Answer] | Exception
-
-
 def _first_round(strategy: Strategy, k: int) -> list[str]:
     """The exchange keys a strategy asks for before any answer is known: the
     pf round over k passages for post_fusion and pf_concat, else its one
@@ -120,10 +116,10 @@ def _fetch(
     passages: Sequence[Passage],
     exchange_key: str,
     candidates: tuple[str, ...] = (),
-) -> Held:
+) -> tuple[Exchange, Answer]:
     """Render the prompt the exchange key names, send it and classify the
     reply. ``passages`` are the question's, or for distill the survivors,
-    whose answers are ``candidates``. A failed call is returned, its message
+    whose answers are ``candidates``. A failed call raises, its message
     prefixed with the question and exchange.
 
     The renderers are looked up by their module names at call time; a
@@ -152,7 +148,7 @@ def _fetch(
         response = client.complete(request)
     except Exception as exc:
         exc.args = (f"question {question.question_id} ({exchange_key}): {exc}",)
-        return exc
+        raise
     exchange = Exchange(kind, exchange_key, request, response)
     return exchange, classify_response(response.text, policy)
 
@@ -162,26 +158,25 @@ def send_ahead(
     passages: Sequence[Passage],
     question: Question,
     client: CompletionClient,
+    submit: Callable[..., Future],
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
-    sender: Callable[[Callable, Iterable], Iterable] = map,
-) -> dict[tuple, dict[str, Held]]:
-    """Make the first-round calls of the strategies on one question, and
-    return a memo for run_strategy that holds their results.
+) -> dict[tuple, dict[str, Future]]:
+    """Submit the first-round calls of the strategies on one question, and
+    return at once a memo for run_strategy that holds their futures.
 
     The calls are the union of each strategy's unconditional first round
     (see _first_round), in the order the strategies reach them, each once.
-    ``sender`` runs them over their exchange keys as ``map`` does: the
-    built-in map makes them one after another, a thread pool's map makes
-    them at once. A failed call is held as its exception, which run_strategy
-    raises when it reaches the key. Conditional calls (concat_pf's pf round,
+    ``submit`` is an executor's submit: each call is submitted as
+    ``submit(fetch, exchange_key)``. A failed call is raised by run_strategy
+    when it reaches the key. Conditional calls (concat_pf's pf round,
     pf_concat's distill) are left to run_strategy.
     """
     _require_passages(passages, question)
-    keys = list(dict.fromkeys(key for s in strategies for key in _first_round(s, len(passages))))
+    keys = dict.fromkeys(key for s in strategies for key in _first_round(s, len(passages)))
     fetch = partial(_fetch, client, question, policy, max_response_tokens, passages)
     passage_ids = tuple(p.passage_id for p in passages)
-    return {(question.question_id, passage_ids): dict(zip(keys, sender(fetch, keys)))}
+    return {(question.question_id, passage_ids): {key: submit(fetch, key) for key in keys}}
 
 
 def run_strategy(
@@ -191,7 +186,7 @@ def run_strategy(
     client: CompletionClient,
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
     max_response_tokens: int = 64,
-    memo: dict[tuple, dict[str, Held]] | None = None,
+    memo: dict[tuple, dict[str, tuple[Exchange, Answer] | Future]] | None = None,
 ) -> StrategyTrace:
     """Run one strategy on one question's passages.
 
@@ -204,12 +199,13 @@ def run_strategy(
     ``memo`` maps a question id and the ids of the strategy's passages to a
     bucket, which maps an exchange key (``concat``, ``pf:3``, ``distill``,
     ...) to the exchange that answered it and the answer classified from
-    it. Within a bucket the key alone fixes the request: distill's
-    candidates follow from the pf answers the same bucket holds. A prompt
-    is rendered and sent only when the bucket lacks its key; a hit renders
-    nothing, calls no client, classifies nothing, and its trace records
-    that same Exchange object. A hit on a failure (see send_ahead) raises
-    it; a call that fails here is not memoized. Passing one memo to all
+    it, or to a Future of the pair (see send_ahead). Within a bucket the key
+    alone fixes the request: distill's candidates follow from the pf answers
+    the same bucket holds. A prompt is rendered and sent only when the
+    bucket lacks its key; a hit renders nothing, calls no client, classifies
+    nothing, and its trace records that same Exchange object. A hit on a
+    Future waits for it and raises the call's failure; a call that fails
+    here is not memoized. Passing one memo to all
     strategies of a question sends each distinct request once: concat_pf
     repeats the concat request, and concat_pf and pf_concat repeat
     post_fusion's per-passage calls. The key leaves out the policy and the
@@ -224,13 +220,12 @@ def run_strategy(
     exchanges: list[Exchange] = []
 
     def ask(exchange_key: str, given: list[Passage] = passages, candidates: tuple = ()) -> Answer:
-        held = bucket.get(exchange_key) or _fetch(
-            client, question, policy, max_response_tokens, given, exchange_key, candidates
-        )
-        if isinstance(held, Exception):
-            raise held
-        bucket[exchange_key] = held
-        exchange, answer = held
+        held = bucket.get(exchange_key)
+        if held is None:
+            held = bucket[exchange_key] = _fetch(
+                client, question, policy, max_response_tokens, given, exchange_key, candidates
+            )
+        exchange, answer = held.result() if isinstance(held, Future) else held
         exchanges.append(exchange)
         return answer
 

@@ -685,6 +685,23 @@ def test_toy_run_bills_each_distinct_exchange_once(tmp_path, capsys, monkeypatch
     assert sum(map(int, columns[3])) == 33653
 
 
+def test_an_offline_run_makes_each_call_when_a_strategy_reaches_it(tmp_path, capsys, monkeypatch):
+    reached = []
+    respond = RuleClient._respond
+    monkeypatch.setattr(
+        RuleClient, "_respond",
+        lambda self, request: reached.append(request) or respond(self, request),
+    )
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="pf_concat,concat"
+    )
+    assert main(["run", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    # nothing is sent ahead: pf_concat's distill goes out before concat's call
+    q02 = [request.exchange_key for request in reached if request.question_id == "q02"]
+    assert q02 == ["pf:0", "pf:1", "pf:2", "distill", "concat"]
+
+
 def test_a_sentinel_ending_in_punctuation_scores_as_the_default_does(tmp_path, capsys):
     # The rule backend replies "unknown." verbatim; it used to read as an
     # answer, so every strategy scored Unk% 0.0.
@@ -1294,17 +1311,25 @@ def test_main_reports_errors_with_exit_code_2(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "filter"])
 @pytest.mark.parametrize(
     "endpoint", ["localhost:8000/v1", "http:///v1/chat/completions", "file:///etc/hosts", "ftp://h/x"]
 )
-def test_live_run_rejects_a_non_http_endpoint_before_any_request(tmp_path, capsys, endpoint):
+def test_live_run_rejects_a_non_http_endpoint_before_any_request(
+    tmp_path, capsys, endpoint, command
+):
+    # Checked before any file is loaded: the corpus and the questions here
+    # would each be an error of their own.
+    for name in ("corpus.jsonl", "questions.jsonl"):
+        (tmp_path / name).write_text('{"id": 1}\n', encoding="utf-8")
     config_path = write_config(
         tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat",
+        corpus=tmp_path / "corpus.jsonl", questions=tmp_path / "questions.jsonl",
         **{**_LIVE, "endpoint": endpoint},
     )
     refuse = mock.patch.object(llm.LiveClient, "_send_with_retries", side_effect=AssertionError)
     with refuse as sent:
-        assert main(["run", "--config", str(config_path)]) == 2
+        assert main([command, "--config", str(config_path)]) == 2
     assert not sent.called and not (tmp_path / "out").exists()
     assert capsys.readouterr().err == (
         f"error: endpoint must be an http:// or https:// URL with a host: {endpoint!r}\n"

@@ -1,6 +1,8 @@
 """Tests for the six strategy pipelines and the majority-vote reducer."""
 
 import json
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +44,17 @@ def answers(*texts):
 
 def script_for(entries: dict[str, str], qid: str = "q1") -> ScriptClient:
     return ScriptClient({(qid, key): value for key, value in entries.items()})
+
+
+def now(fn, *args) -> Future:
+    """An executor's submit that makes the call before it returns: the
+    Future is finished, with fn's result or the exception it raised."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def test_vote_counts_normalized_surface_variants():
@@ -411,7 +424,7 @@ def test_a_shared_memo_sends_each_distinct_live_payload_once(reply, distill):
 def test_send_ahead_makes_the_union_of_the_first_rounds_in_the_order_strategies_reach_it():
     client = RuleClient([QUESTION])
     reached = spy_backend(client)
-    memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client)
+    memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client, now)
     first_round = ["concat", *(f"pf:{i}" for i in range(len(PASSAGES))), "pruning", "summary"]
     assert [request.exchange_key for request in reached] == first_round
     (bucket,) = memo.values()
@@ -422,31 +435,60 @@ def test_send_ahead_makes_the_union_of_the_first_rounds_in_the_order_strategies_
     assert [request.exchange_key for request in reached[len(first_round):]] == ["distill"]
     # concat_pf's pf round is conditional, so it is not sent ahead
     reached.clear()
-    (bucket,) = send_ahead([Strategy.CONCAT_PF], PASSAGES, QUESTION, client).values()
+    (bucket,) = send_ahead([Strategy.CONCAT_PF], PASSAGES, QUESTION, client, now).values()
     assert len(bucket) == 1
     assert [request.exchange_key for request in reached] == ["concat"]
 
 
-def test_send_ahead_passes_its_calls_to_the_sender_as_map_takes_them():
+def test_send_ahead_submits_each_call_by_its_exchange_key_in_order():
     client = RuleClient([QUESTION])
-    seen = []
+    submitted = []
 
-    def sender(fetch, calls):
-        calls = list(calls)
-        seen.append(len(calls))
-        return [fetch(call) for call in calls]
+    def submit(fetch, key):
+        submitted.append(key)
+        return now(fetch, key)
 
-    send_ahead([Strategy.PF_CONCAT, Strategy.CONCAT], PASSAGES, QUESTION, client, sender=sender)
-    assert seen == [len(PASSAGES) + 1]
+    send_ahead([Strategy.PF_CONCAT, Strategy.CONCAT], PASSAGES, QUESTION, client, submit)
+    keys = [*(f"pf:{i}" for i in range(len(PASSAGES))), "concat"]
+    assert submitted == keys
     with pytest.raises(ValueError, match="question 'q1' has none"):
-        send_ahead(list(Strategy), [], QUESTION, client, sender=sender)
-    assert seen == [len(PASSAGES) + 1]
+        send_ahead(list(Strategy), [], QUESTION, client, submit)
+    assert submitted == keys
+
+
+def test_send_ahead_returns_before_its_calls_end():
+    release = threading.Event()
+    answered = []
+
+    def transport(payload):
+        # A send_ahead that waited on its calls would return only after this
+        # timeout, with every call answered.
+        release.wait(timeout=5)
+        answered.append(payload)
+        return 200, {"choices": [{"message": {"content": "Paris"}}]}
+
+    client = LiveClient(
+        endpoint="http://example.invalid/v1/chat/completions",
+        model="test-model",
+        transport=transport,
+        cache=None,
+    )
+    first_round = len(PASSAGES) + 3
+    with ThreadPoolExecutor(max_workers=first_round) as pool:
+        memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client, pool.submit)
+        (bucket,) = memo.values()
+        waiting = [future for future in bucket.values() if not future.done()]
+        release.set()
+        traces = [run_strategy(s, PASSAGES, QUESTION, client, memo=memo) for s in Strategy]
+    assert len(waiting) == first_round
+    assert [trace.final for trace in traces] == [Answer.of("Paris")] * len(Strategy)
+    assert len(answered) == first_round + 1  # and pf_concat's distill
 
 
 def test_a_failed_call_sent_ahead_is_raised_where_a_strategy_reaches_it():
     client = script_for({"concat": "Paris", "pf:0": "Paris", "pruning": "Paris"})
     reached = spy_backend(client)
-    memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client)
+    memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client, now)
     # every first-round call went out, the ones after the failed pf:1 too
     assert len(reached) == len(PASSAGES) + 3
     assert run_concatenation(PASSAGES, QUESTION, client, memo=memo).final == Answer.of("Paris")
@@ -472,7 +514,7 @@ def test_a_conditional_call_raises_before_a_later_strategys_held_failure(
     strategies_, entries, raised
 ):
     client = script_for(entries)
-    memo = send_ahead(strategies_, PASSAGES, QUESTION, client)  # holds summary's failure
+    memo = send_ahead(strategies_, PASSAGES, QUESTION, client, now)  # holds summary's failure
     with pytest.raises(ScriptError) as error:
         for strategy in strategies_:  # as a run does
             run_strategy(strategy, PASSAGES, QUESTION, client, memo=memo)
@@ -502,7 +544,7 @@ def test_a_shared_memo_matches_fresh_runs_and_sends_each_request_once(strategies
     passages = POOL[:k]
     client = script_for(replies)
     reached = spy_backend(client)
-    memo = send_ahead(strategies_, passages, QUESTION, client)
+    memo = send_ahead(strategies_, passages, QUESTION, client, now)
     # send_ahead reaches the union of the first rounds, in the order the strategies reach them
     first_round = {}
     for strategy in strategies_:
