@@ -416,9 +416,13 @@ def _run_single(config: RunConfig) -> EvalReport:
     policy = config.policy()
 
     # A live client waits on the endpoint, so each question's first round goes out
-    # through one pool of max_in_flight threads. Offline clients make each call
-    # when a strategy reaches it: under the interpreter lock a pool overlaps nothing.
-    sending = ThreadPoolExecutor(config.max_in_flight) if isinstance(client, LiveClient) else None
+    # through one run-wide pool. It has two threads for each of the client's
+    # max_in_flight slots: while one waits on the wire, the other renders its next
+    # call, so no slot idles between calls. Offline clients make each call when a
+    # strategy reaches it: under the interpreter lock a pool overlaps nothing.
+    sending = (
+        ThreadPoolExecutor(2 * config.max_in_flight) if isinstance(client, LiveClient) else None
+    )
 
     def work(question: Question) -> tuple[list[tuple[StrategyTrace, EvalRecord]], list[Exchange]]:
         """The question's (trace, record) pairs, and its distinct exchanges,

@@ -293,41 +293,109 @@ def check_endpoint(endpoint: str) -> None:
 
 
 def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Transport:
-    """POST each payload through urllib.request, which takes proxies from the
-    HTTP(S)_PROXY/NO_PROXY environment. Raises ValueError unless endpoint
-    passes check_endpoint."""
+    """POST each payload through http.client over connections kept between
+    calls. Raises ValueError unless endpoint passes check_endpoint.
+
+    The proxy is taken once, from the HTTP(S)_PROXY/NO_PROXY environment, as
+    urllib.request's ProxyHandler takes it: an http endpoint's URL goes to the
+    proxy whole, an https endpoint is tunnelled through it, and user:pass@ in
+    the proxy URL is sent as Basic Proxy-Authorization.
+
+    A call takes the connection returned last, or opens one; one the server
+    closed while idle is dropped first. A reply that closes its connection
+    (every reply of an HTTP/1.0 server) has the replacement opened before the
+    call returns, so that the next call finds it ready. LiveClient's gate
+    bounds the calls at once, and so the connections kept."""
     check_endpoint(endpoint)
     # Imported here so that runs on the offline backends do not pay for it.
+    import base64
     import http.client
-    import urllib.error
+    import selectors
     import urllib.request
+    import weakref
 
-    headers = {"Content-Type": "application/json"}
+    parts = urllib.parse.urlsplit(endpoint)
+    target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+    headers = {
+        "Content-Type": "application/json",
+        "User-Agent": f"Python-urllib/{urllib.request.__version__}",
+    }
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+    address, tunnel_headers = parts.netloc, None
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and not urllib.request.proxy_bypass(parts.netloc):
+        # A proxy given as host:port has no scheme to split off.
+        proxy_parts = urllib.parse.urlsplit(proxy if "//" in proxy else f"//{proxy}")
+        address = proxy_parts.netloc.rpartition("@")[2]
+        proxy_headers = {}
+        if proxy_parts.username and proxy_parts.password:
+            user = urllib.parse.unquote(proxy_parts.username)
+            password = urllib.parse.unquote(proxy_parts.password)
+            credentials = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+            proxy_headers["Proxy-Authorization"] = f"Basic {credentials}"
+        if parts.scheme == "https":
+            tunnel_headers = proxy_headers
+        else:
+            target = endpoint.partition("#")[0]
+            headers.update(proxy_headers)
+    connection_type = (
+        http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    )
+    idle: list[http.client.HTTPConnection] = []
+    lock = threading.Lock()
+
+    def dropped(sock) -> bool:
+        # An idle connection is readable only once its server has closed it (or
+        # sent what no request asked for). Unlike select.select, a selector takes
+        # a descriptor of any number.
+        with selectors.DefaultSelector() as selector:
+            selector.register(sock, selectors.EVENT_READ)
+            return bool(selector.select(0))
+
+    def connection() -> http.client.HTTPConnection:
+        with lock:
+            conn = idle.pop() if idle else None
+        if conn is None:
+            conn = connection_type(address, timeout=timeout)
+            if tunnel_headers is not None:
+                conn.set_tunnel(parts.netloc, headers=tunnel_headers)
+        elif conn.sock is not None and dropped(conn.sock):
+            conn.close()  # request() opens a new socket
+        return conn
 
     def send(payload: dict) -> tuple[int, dict]:
-        request = urllib.request.Request(
-            endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
-        )
+        conn = connection()
         try:
-            try:
-                with urllib.request.urlopen(request, timeout=timeout) as reply:
-                    status, raw = reply.status, reply.read()
-            except urllib.error.HTTPError as exc:
-                # An error status is still a reply; LiveClient decides on retries.
-                with exc:
-                    status, raw = exc.code, exc.read()
+            conn.request("POST", target, json.dumps(payload).encode("utf-8"), headers)
+            # An error status is still a reply; LiveClient decides on retries.
+            with conn.getresponse() as reply:
+                status, raw = reply.status, reply.read()
         # HTTPException (a bad status line, a cut-off body) is not an OSError.
         except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise TransportError(f"request to {endpoint} failed: {exc}") from exc
+        if reply.will_close:  # the reply closed the socket: open the next one now
+            try:
+                conn.connect()
+            except (OSError, http.client.HTTPException):
+                conn.close()  # request() opens one on the next call
+        with lock:
+            idle.append(conn)
         try:
             body = json.loads(raw)
         except ValueError:
             body = {}
         return status, body
 
+    # The kept connections close once the client lets go of its transport.
+    weakref.finalize(send, _close_all, idle)
     return send
+
+
+def _close_all(connections: list) -> None:
+    for conn in connections:
+        conn.close()
 
 
 def _completion_fields(body: object, status: int) -> tuple[str, int | None, int | None]:
@@ -360,9 +428,10 @@ def check_live_settings(timeout: float, max_in_flight: int) -> None:
 class LiveClient(CompletionClient):
     """Client for an OpenAI-compatible chat completions endpoint.
 
-    Without an injected transport, calls go through urllib.request (the
-    standard library), with proxies taken from the environment; endpoint
-    must then be an http:// or https:// URL with a host, else ValueError.
+    Without an injected transport, calls go through http.client (the
+    standard library) over kept connections, with the proxy taken from the
+    environment; endpoint must then be an http:// or https:// URL with a
+    host, else ValueError.
     Retries transient failures (transport errors, HTTP 429 and 5xx) three
     times with 1s/2s/4s backoff; other HTTP statuses fail immediately. At
     most max_in_flight calls run concurrently.

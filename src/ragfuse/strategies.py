@@ -120,7 +120,8 @@ def _fetch(
     """Render the prompt the exchange key names, send it and classify the
     reply. ``passages`` are the question's, or for distill the survivors,
     whose answers are ``candidates``. A failed call raises, its message
-    prefixed with the question and exchange.
+    prefixed with the question and exchange; an OSError becomes a new
+    OSError raised from it.
 
     The renderers are looked up by their module names at call time; a
     wrapper rebound to those names (a profiler, a test double) then sees
@@ -147,7 +148,11 @@ def _fetch(
     try:
         response = client.complete(request)
     except Exception as exc:
-        exc.args = (f"question {question.question_id} ({exchange_key}): {exc}",)
+        where = f"question {question.question_id} ({exchange_key})"
+        if isinstance(exc, OSError):
+            # An OSError prints its errno and strerror, not its args.
+            raise OSError(f"{where}: {exc}") from exc
+        exc.args = (f"{where}: {exc}",)
         raise
     exchange = Exchange(kind, exchange_key, request, response)
     return exchange, classify_response(response.text, policy)

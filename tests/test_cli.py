@@ -1,9 +1,11 @@
 """Tests for config loading, overrides, and the three CLI subcommands."""
 
+import errno
 import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -1221,6 +1223,34 @@ def test_sending_ahead_leaves_every_artifact_and_the_printed_lines_unchanged(
         runs[in_flight] = (out, files, sorted(endpoint.prompts))
     assert runs[1] == runs[4]
     assert "usage: billed calls=" in runs[4][0]
+
+
+def refuse_with_a_reset(payload: dict) -> tuple[int, dict]:
+    raise ConnectionResetError(errno.ECONNRESET, os.strerror(errno.ECONNRESET))
+
+
+@pytest.mark.parametrize("fault", ["transport", "cache"])
+def test_a_failed_call_with_an_errno_prints_its_question_and_exchange(tmp_path, capsys, fault):
+    # An OSError prints its errno and strerror, not its args, so a prefix
+    # written into its args would leave a bare "error: [Errno ...]" line.
+    cache = tmp_path / "cache.jsonl"
+    if fault == "transport":
+        endpoint = refuse_with_a_reset
+        reason = f"[Errno {errno.ECONNRESET}] {os.strerror(errno.ECONNRESET)}"
+    else:
+        endpoint = FlakyEndpoint()
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        cache = tmp_path / "file" / "cache.jsonl"  # cannot be made: its parent is a file
+        reason = f"[Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: {str(cache.parent)!r}"
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", cache=cache, **_LIVE
+    )
+    with mock.patch.object(llm, "_http_transport", lambda *args: endpoint):
+        assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: question q01 (concat): {reason}\n"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["error"] == err[len("error: "):-1]
 
 
 def test_a_failed_first_round_call_ends_the_run_with_the_error_of_a_call_made_in_turn(

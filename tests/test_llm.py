@@ -4,6 +4,7 @@ import http.server
 import json
 import math
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -442,23 +443,84 @@ class _ReplayHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _CountingServer(http.server.ThreadingHTTPServer):
+    """A loopback server on an ephemeral port that counts the connections it
+    accepts and the most it holds open at once; ``closed`` is released each
+    time it closes one."""
+
+    daemon_threads = True
+
+    def __init__(self, handler: type) -> None:
+        super().__init__(("127.0.0.1", 0), handler)
+        self.lock, self.seen, self.replies = threading.Lock(), [], []
+        self.released = threading.Event()
+        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+        self.accepted = self.open = self.open_max = 0
+        self.closed = threading.Semaphore(0)
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.accepted += 1
+            self.open += 1
+            self.open_max = max(self.open_max, self.open)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.open -= 1
+        self.closed.release()
+
+
+class _KeepAliveHandler(_ReplayHandler):
+    protocol_version = "HTTP/1.1"
+
+
+class _IdleCloseHandler(_KeepAliveHandler):
+    """Replies without Connection: close, so the client keeps the connection,
+    then closes it."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+class _ProxyHandler(_ReplayHandler):
+    """A proxy: records the target of each request line and its
+    Proxy-Authorization in server.targets, then replies itself."""
+
+    def do_POST(self):
+        with self.server.lock:
+            self.server.targets.append((self.path, self.headers.get("Proxy-Authorization")))
+        super().do_POST()
+
+
 @pytest.fixture
-def endpoint(monkeypatch):
-    """A loopback HTTP server on an ephemeral port; set .replies before use."""
+def serve(monkeypatch):
+    """Starts a _CountingServer for a handler class; each is shut down after the test."""
     monkeypatch.setenv("no_proxy", "127.0.0.1")
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ReplayHandler)
-    server.daemon_threads = True
-    server.lock, server.seen, server.replies = threading.Lock(), [], []
-    server.released = threading.Event()
-    server.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield server
-    server.released.set()
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    started = []
+
+    def start(handler: type = _ReplayHandler) -> _CountingServer:
+        server = _CountingServer(handler)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.released.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def endpoint(serve):
+    """A loopback HTTP/1.0 server on an ephemeral port; set .replies before use."""
+    return serve()
 
 
 def http_client(url: str, **kwargs) -> tuple[LiveClient, list]:
@@ -524,6 +586,75 @@ def test_http_transport_failures_are_retried_then_reported(endpoint, failure):
             client.complete(CompletionRequest(prompt_text="x"))
     assert sleeps == [1.0, 2.0, 4.0]
     assert len(endpoint.seen) == (0 if failure == "refused" else 4)
+
+
+def test_an_http11_endpoint_serves_sequential_calls_over_one_connection(serve):
+    server = serve(_KeepAliveHandler)
+    server.replies = [json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(server.url)
+    for i in range(5):
+        assert client.complete(CompletionRequest(prompt_text=f"p {i}")).text == "ok"
+    assert (server.accepted, len(server.seen), sleeps) == (1, 5, [])
+
+
+def test_an_http10_endpoint_has_each_connection_it_closes_replaced(endpoint):
+    endpoint.replies = [json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(endpoint.url, max_in_flight=2)
+    for i in range(5):
+        assert client.complete(CompletionRequest(prompt_text=f"p {i}")).text == "ok"
+    assert len(endpoint.seen) == 5 and sleeps == []
+    assert endpoint.accepted <= 5 + 2
+
+
+def test_a_kept_connection_closed_while_idle_is_replaced_without_a_failed_attempt(serve):
+    server = serve(_IdleCloseHandler)
+    server.replies = [json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(server.url)
+    for i in range(3):
+        assert client.complete(CompletionRequest(prompt_text=f"p {i}")).text == "ok"
+        # the server has closed the connection the client keeps
+        assert server.closed.acquire(timeout=10)
+    assert [payload["messages"][0]["content"] for _, payload in server.seen] == ["p 0", "p 1", "p 2"]
+    assert sleeps == []
+
+
+def test_no_more_connections_are_open_at_once_than_calls_allowed_in_flight(serve):
+    server = serve(_KeepAliveHandler)
+    server.replies = [json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(server.url, max_in_flight=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            texts = list(
+                pool.map(
+                    lambda i: client.complete(CompletionRequest(prompt_text=f"p {i}")).text,
+                    range(40),
+                )
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == ["ok"] * 40 and sleeps == []
+    prompts = sorted(payload["messages"][0]["content"] for _, payload in server.seen)
+    assert prompts == sorted(f"p {i}" for i in range(40))
+    assert server.open_max <= 2
+
+
+def test_a_proxy_from_the_environment_gets_the_whole_url_and_the_credentials(serve, monkeypatch):
+    direct, proxy = serve(), serve(_ProxyHandler)
+    direct.replies = proxy.replies = [json_reply(200, ok_body("ok"))]
+    proxy.targets = []
+    for name in ("no_proxy", "NO_PROXY", "http_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", f"http://u:p@127.0.0.1:{proxy.server_port}")
+    client, _ = http_client(direct.url)
+    assert client.complete(CompletionRequest(prompt_text="x")).text == "ok"
+    assert proxy.targets == [(direct.url, "Basic dTpw")]  # base64 of u:p
+    assert direct.seen == []
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    client, _ = http_client(direct.url)
+    assert client.complete(CompletionRequest(prompt_text="x")).text == "ok"
+    assert len(proxy.targets) == 1 and len(direct.seen) == 1
 
 
 def test_live_client_sends_without_importing_requests(endpoint):

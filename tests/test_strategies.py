@@ -501,6 +501,19 @@ def test_a_failed_call_sent_ahead_is_raised_where_a_strategy_reaches_it():
     assert len(reached) == len(PASSAGES) + 3
 
 
+def test_a_failed_call_with_an_errno_is_raised_prefixed_from_the_original():
+    reset = ConnectionResetError(104, "Connection reset by peer")
+
+    def transport(payload):
+        raise reset
+
+    client = LiveClient(endpoint="http://example.invalid/v1", model="m", transport=transport)
+    with pytest.raises(OSError) as raised:
+        run_concatenation(PASSAGES, QUESTION, client)
+    assert str(raised.value) == "question q1 (concat): [Errno 104] Connection reset by peer"
+    assert raised.value.__cause__ is reset
+
+
 @pytest.mark.parametrize(
     "strategies_, entries, raised",
     [
