@@ -302,15 +302,17 @@ def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Trans
     the proxy URL is sent as Basic Proxy-Authorization.
 
     A call takes the connection returned last, or opens one; one the server
-    closed while idle is dropped first. A reply that closes its connection
-    (every reply of an HTTP/1.0 server) has the replacement opened before the
-    call returns, so that the next call finds it ready. LiveClient's gate
-    bounds the calls at once, and so the connections kept."""
+    closed while idle is dropped first. If a kept connection is closed under
+    its request, the request is sent again at once on a new one. A reply that
+    closes its connection (every reply of an HTTP/1.0 server) has the
+    replacement opened before the call returns, so that the next call finds
+    it ready. LiveClient's gate bounds the calls at once, and so the
+    connections kept."""
     check_endpoint(endpoint)
     # Imported here so that runs on the offline backends do not pay for it.
     import base64
     import http.client
-    import selectors
+    import ssl
     import urllib.request
     import weakref
 
@@ -344,38 +346,65 @@ def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Trans
     )
     idle: list[http.client.HTTPConnection] = []
     lock = threading.Lock()
+    # What a non-blocking read of an idle, open connection raises. A TLS socket
+    # first reads the records that carry no data, such as the session tickets a
+    # TLS 1.3 server sends after its handshake.
+    nothing_to_read = (BlockingIOError, ssl.SSLWantReadError)
 
     def dropped(sock) -> bool:
-        # An idle connection is readable only once its server has closed it (or
-        # sent what no request asked for). Unlike select.select, a selector takes
-        # a descriptor of any number.
-        with selectors.DefaultSelector() as selector:
-            selector.register(sock, selectors.EVENT_READ)
-            return bool(selector.select(0))
+        # An idle connection has something to read only once its server has
+        # closed it (or sent what no request asked for). Unlike select.select,
+        # a read takes a descriptor of any number.
+        sock.settimeout(0)
+        try:
+            sock.recv(1)
+        except nothing_to_read:
+            return False
+        except OSError:
+            pass
+        finally:
+            sock.settimeout(timeout)
+        return True
 
-    def connection() -> http.client.HTTPConnection:
+    def connection() -> tuple[http.client.HTTPConnection, bool]:
+        """The connection returned last if it is still open, else a new one;
+        and whether it was kept."""
         with lock:
             conn = idle.pop() if idle else None
         if conn is None:
             conn = connection_type(address, timeout=timeout)
             if tunnel_headers is not None:
                 conn.set_tunnel(parts.netloc, headers=tunnel_headers)
-        elif conn.sock is not None and dropped(conn.sock):
+            return conn, False
+        if conn.sock is None or dropped(conn.sock):
             conn.close()  # request() opens a new socket
-        return conn
+            return conn, False
+        return conn, True
+
+    def exchange(conn: http.client.HTTPConnection, data: bytes) -> tuple[int, bytes, bool]:
+        conn.request("POST", target, data, headers)
+        # An error status is still a reply; LiveClient decides on retries.
+        with conn.getresponse() as reply:
+            return reply.status, reply.read(), reply.will_close
 
     def send(payload: dict) -> tuple[int, dict]:
-        conn = connection()
+        data = json.dumps(payload).encode("utf-8")
+        conn, kept = connection()
         try:
-            conn.request("POST", target, json.dumps(payload).encode("utf-8"), headers)
-            # An error status is still a reply; LiveClient decides on retries.
-            with conn.getresponse() as reply:
-                status, raw = reply.status, reply.read()
+            try:
+                status, raw, closed = exchange(conn, data)
+            except ConnectionError:
+                if not kept:
+                    raise
+                # The server closed the kept connection after the check (its
+                # keep-alive timer fired, say): send again at once on a new one.
+                conn.close()
+                status, raw, closed = exchange(conn, data)
         # HTTPException (a bad status line, a cut-off body) is not an OSError.
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             raise TransportError(f"request to {endpoint} failed: {exc}") from exc
-        if reply.will_close:  # the reply closed the socket: open the next one now
+        if closed:  # the reply closed the socket: open the next one now
             try:
                 conn.connect()
             except (OSError, http.client.HTTPException):

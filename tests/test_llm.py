@@ -1,9 +1,13 @@
 """Tests for the completion clients, token accounting, retries, and caching."""
 
+import datetime
 import http.server
+import ipaddress
 import json
 import math
+import select
 import socket
+import ssl
 import sys
 import threading
 import time
@@ -485,6 +489,20 @@ class _IdleCloseHandler(_KeepAliveHandler):
         self.close_connection = True
 
 
+class _CloseUnderTheSecondRequestHandler(_KeepAliveHandler):
+    """Replies to the first request on a connection and keeps it, then reads
+    the second and closes without a reply, as a server does whose keep-alive
+    timer fires just as a request arrives."""
+
+    def do_POST(self):
+        if getattr(self, "answered", False):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.close_connection = True
+            return
+        self.answered = True
+        super().do_POST()
+
+
 class _ProxyHandler(_ReplayHandler):
     """A proxy: records the target of each request line and its
     Proxy-Authorization in server.targets, then replies itself."""
@@ -495,14 +513,44 @@ class _ProxyHandler(_ReplayHandler):
         super().do_POST()
 
 
+class _TunnelHandler(http.server.BaseHTTPRequestHandler):
+    """A CONNECT proxy: records the target of each request line and its
+    Proxy-Authorization in server.targets, then relays bytes both ways until
+    either side closes."""
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.targets.append((self.path, self.headers.get("Proxy-Authorization")))
+        host, _, port = self.path.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as upstream:
+            self.send_response(200)
+            self.end_headers()
+            ends = {self.connection: upstream, upstream: self.connection}
+            while True:
+                readable, _, _ = select.select(list(ends), [], [], 10)
+                chunks = [(ends[sock], sock.recv(65536)) for sock in readable]
+                if not readable or not all(chunk for _, chunk in chunks):
+                    break
+                for other, chunk in chunks:
+                    other.sendall(chunk)
+        self.close_connection = True
+
+    def log_message(self, format, *args):
+        pass
+
+
 @pytest.fixture
 def serve(monkeypatch):
-    """Starts a _CountingServer for a handler class; each is shut down after the test."""
+    """Starts a _CountingServer for a handler class, over TLS given a server
+    context; each is shut down after the test."""
     monkeypatch.setenv("no_proxy", "127.0.0.1")
     started = []
 
-    def start(handler: type = _ReplayHandler) -> _CountingServer:
+    def start(handler: type = _ReplayHandler, tls: ssl.SSLContext | None = None) -> _CountingServer:
         server = _CountingServer(handler)
+        if tls is not None:
+            server.socket = tls.wrap_socket(server.socket, server_side=True)
+            server.url = server.url.replace("http:", "https:", 1)
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         started.append((server, thread))
@@ -515,6 +563,47 @@ def serve(monkeypatch):
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def tls(tmp_path, monkeypatch):
+    """A server TLS context with a self-signed certificate for 127.0.0.1, which
+    clients made during the test trust through SSL_CERT_FILE."""
+    x509 = pytest.importorskip("cryptography.x509")
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(hours=1))
+        .not_valid_after(now + datetime.timedelta(hours=1))
+        .add_extension(
+            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+            critical=False,
+        )
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .sign(key, hashes.SHA256())
+    )
+    cert_path, key_path = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(
+        key.private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        )
+    )
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_path, key_path)
+    return context
 
 
 @pytest.fixture
@@ -618,6 +707,32 @@ def test_a_kept_connection_closed_while_idle_is_replaced_without_a_failed_attemp
     assert sleeps == []
 
 
+def test_a_kept_connection_closed_under_its_request_is_resent_at_once_on_a_new_one(serve):
+    server = serve(_CloseUnderTheSecondRequestHandler)
+    server.replies = [json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(server.url)
+    for i in range(3):
+        assert client.complete(CompletionRequest(prompt_text=f"p {i}")).text == "ok"
+    assert [payload["messages"][0]["content"] for _, payload in server.seen] == ["p 0", "p 1", "p 2"]
+    assert sleeps == [] and server.accepted == 3
+
+
+@pytest.mark.parametrize("handler, connections", [(_ReplayHandler, 6), (_KeepAliveHandler, 1)])
+def test_an_https_endpoint_makes_one_handshake_a_connection(serve, tls, handler, connections):
+    # A TLS 1.3 server sends session tickets after its handshake, so a
+    # connection opened ahead of its call has records to read while it waits.
+    # It is still open and must be used, not dropped for a second handshake.
+    server = serve(handler, tls)
+    server.replies = [json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(server.url)
+    for i in range(5):
+        assert client.complete(CompletionRequest(prompt_text=f"p {i}")).text == "ok"
+        time.sleep(0.05)  # the tickets reach the client between calls
+    assert len(server.seen) == 5 and sleeps == []
+    # HTTP/1.0: one connection a call, and the one opened after the last
+    assert server.accepted <= connections
+
+
 def test_no_more_connections_are_open_at_once_than_calls_allowed_in_flight(serve):
     server = serve(_KeepAliveHandler)
     server.replies = [json_reply(200, ok_body("ok"))]
@@ -655,6 +770,23 @@ def test_a_proxy_from_the_environment_gets_the_whole_url_and_the_credentials(ser
     client, _ = http_client(direct.url)
     assert client.complete(CompletionRequest(prompt_text="x")).text == "ok"
     assert len(proxy.targets) == 1 and len(direct.seen) == 1
+
+
+def test_an_https_endpoint_is_tunnelled_through_a_proxy_with_the_credentials(
+    serve, tls, monkeypatch
+):
+    direct, proxy = serve(_KeepAliveHandler, tls), serve(_TunnelHandler)
+    direct.replies = [json_reply(200, ok_body("ok"))]
+    proxy.targets = []
+    for name in ("no_proxy", "NO_PROXY", "https_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", f"http://u:p@127.0.0.1:{proxy.server_port}")
+    client, sleeps = http_client(direct.url)
+    for i in range(3):
+        assert client.complete(CompletionRequest(prompt_text=f"p {i}")).text == "ok"
+    # one tunnel, kept for every call
+    assert proxy.targets == [(f"127.0.0.1:{direct.server_port}", "Basic dTpw")]
+    assert len(direct.seen) == 3 and sleeps == []
 
 
 def test_live_client_sends_without_importing_requests(endpoint):
