@@ -136,7 +136,7 @@ class RunConfig(RetrievalConfig):
             raise ValueError(f"corpus file not found: {self.corpus}")
         if not self.questions.exists():
             raise ValueError(f"questions file not found: {self.questions}")
-        if self.rankings is not None and not self.rankings.exists():
+        if command == "run" and self.rankings is not None and not self.rankings.exists():
             raise ValueError(f"rankings file not found: {self.rankings}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
@@ -400,19 +400,11 @@ def _passages_for_question(
     return selected
 
 
-def _run_single(config: RunConfig) -> EvalReport:
-    """One complete run at a concrete placement mode; writes all artifacts."""
-    # Chunked as loaded: no Document outlives chunking, so the index build and
-    # the whole run hold only the passages.
-    passages = chunk_corpus(load_corpus(config.corpus), config.max_passage_words)
-    questions = _load_scorable_questions(config)
-    by_id = {p.passage_id: p for p in passages}
-    rankings = load_rankings(config.rankings) if config.rankings is not None else None
-    index = None
-    if rankings is None:
-        terms = {term for question in questions for term in tokenize(question.text)}
-        index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b, terms=terms)
-    client = make_client(config, questions)
+def _run_single(
+    config: RunConfig, questions: Sequence[Question], select: Callable, client: CompletionClient
+) -> EvalReport:
+    """One run at a concrete placement mode over loaded inputs, where
+    select(question, config) gives a question's passages; writes all artifacts."""
     policy = config.policy()
 
     # A live client waits on the endpoint, so each question's first round goes out
@@ -428,7 +420,7 @@ def _run_single(config: RunConfig) -> EvalReport:
         """The question's (trace, record) pairs, and its distinct exchanges,
         each request that reached the client once, in the order the traces
         first refer to them."""
-        selected = _passages_for_question(question, index, rankings, by_id, config)
+        selected = select(question, config)
         # One memo per question: its strategies repeat each other's calls.
         # Only this thread reads or writes it, so it needs no lock.
         memo = {} if sending is None else send_ahead(
@@ -575,21 +567,29 @@ def _write_run_outputs(
 
 
 def cmd_run(config: RunConfig) -> dict[str, EvalReport]:
-    """Run every configured strategy; placement 'sweep' runs three modes."""
+    """Run every configured strategy; a sweep runs three modes over one load."""
     config.validate("run")
+    # Chunked as loaded: no Document outlives chunking, so the index build and
+    # the whole run hold only the passages.
+    passages = chunk_corpus(load_corpus(config.corpus), config.max_passage_words)
+    questions = _load_scorable_questions(config)
+    by_id = {p.passage_id: p for p in passages}
+    rankings = load_rankings(config.rankings) if config.rankings is not None else None
+    index = None
+    if rankings is None:
+        terms = {term for question in questions for term in tokenize(question.text)}
+        index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b, terms=terms)
+    client = make_client(config, questions)
+
+    def select(question: Question, placed: RunConfig) -> list[Passage]:
+        return _passages_for_question(question, index, rankings, by_id, placed)
+
     if config.placement != _SWEEP:
-        return {config.placement: _run_single(config)}
+        return {config.placement: _run_single(config, questions, select, client)}
     reports: dict[str, EvalReport] = {}
     for mode in _SWEEP_MODES:
-        sub = replace(
-            config,
-            placement=mode.value,
-            out=config.out / mode.value,
-            strategies=list(config.strategies),
-            unknown_patterns=list(config.unknown_patterns),
-        )
-        reports[mode.value] = _run_single(sub)
-    config.out.mkdir(parents=True, exist_ok=True)
+        sub = replace(config, placement=mode.value, out=config.out / mode.value)
+        reports[mode.value] = _run_single(sub, questions, select, client)
     with (config.out / "sweep.csv").open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["placement", *_REPORT_COLUMNS])

@@ -540,6 +540,41 @@ def test_cmd_filter_no_questions(tmp_path):
     assert (tmp_path / "out" / "removed.jsonl").read_text(encoding="utf-8") == ""
 
 
+def test_filter_writes_each_half_as_its_questions_were_read(tmp_path, toy_questions):
+    # every toy question has a gold_passage_id, which each half must keep
+    answered = {question.question_id for question in toy_questions[::3]}
+    rows = [
+        json.loads(line)
+        for line in (FIXTURES / "toy_questions.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    responses = {
+        question.question_id: question.gold_answers[0]
+        if question.question_id in answered else "unknown"
+        for question in toy_questions
+    }
+    cmd_filter(filter_setup(tmp_path, responses, rows))
+    kept = load_questions(tmp_path / "out" / "kept.jsonl")
+    removed = load_questions(tmp_path / "out" / "removed.jsonl")
+    assert all(question.gold_passage_id for question in toy_questions)
+    assert removed == [q for q in toy_questions if q.question_id in answered]
+    assert kept == [q for q in toy_questions if q.question_id not in answered]
+
+
+def test_filter_needs_neither_the_corpus_nor_the_rankings_and_run_needs_both(tmp_path, capsys):
+    corpus, rankings = tmp_path / "no_corpus.jsonl", tmp_path / "no_rankings.jsonl"
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", corpus=corpus, rankings=rankings
+    )
+    assert main(["filter", "--config", str(config_path)]) == 0
+    summary = json.loads((tmp_path / "out" / "filter.json").read_text(encoding="utf-8"))
+    assert summary["total"] == 20
+    for name, missing in (("corpus", corpus), ("rankings", rankings)):
+        config_path = write_config(tmp_path / "run.yaml", out=tmp_path / name, **{name: missing})
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {name} file not found: {missing}\n"
+
+
 def run_config(tmp_path, **fields) -> RunConfig:
     fields.setdefault("out", tmp_path / "out")
     fields.setdefault("strategies", "concat,post_fusion")
@@ -783,6 +818,46 @@ def test_each_sweep_mode_writes_what_a_direct_run_at_that_mode_writes(tmp_path, 
             assert (tmp_path / "out" / mode / name).read_bytes() == (direct / name).read_bytes()
 
 
+@pytest.mark.parametrize("ranked", [False, True])
+def test_a_sweep_loads_indexes_and_builds_its_client_once(
+    tmp_path, monkeypatch, toy_passages, ranked
+):
+    # Each mode used to load, chunk and index the corpus and build a client again.
+    calls: dict[str, int] = {}
+
+    def counted(name: str):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in (
+        "load_corpus", "chunk_corpus", "load_questions", "build_index", "load_rankings",
+        "make_client",
+    ):
+        monkeypatch.setattr(cli, name, counted(name))
+    fields = {}
+    if ranked:
+        ids = [p.passage_id for p in toy_passages][:3]
+        rankings = tmp_path / "rankings.jsonl"
+        rankings.write_text(
+            "".join(
+                json.dumps({"question_id": f"q{i:02d}", "ranked_passage_ids": ids}) + "\n"
+                for i in range(1, 21)
+            ),
+            encoding="utf-8",
+        )
+        fields["rankings"] = rankings
+    reports = cmd_run(run_config(tmp_path, strategies="concat", placement="sweep", **fields))
+    assert sorted(reports) == ["gold_bottom", "gold_top", "retrieval_order"]
+    index = "load_rankings" if ranked else "build_index"
+    once = ["load_corpus", "chunk_corpus", "load_questions", index, "make_client"]
+    assert calls == dict.fromkeys(once, 1)
+
+
 def write_scene(root: Path, title: str, text: str, question: str) -> tuple[Path, Path]:
     """A three-document corpus and two questions; the first document, its
     title and the first question text are given."""
@@ -958,6 +1033,62 @@ def test_main_rejects_a_ranking_with_a_non_string_id(tmp_path, capsys):
 def test_main_rejects_a_rankings_row_that_is_not_an_object(tmp_path, capsys):
     assert run_with_rankings(tmp_path, [5]) == 2
     assert "rankings.jsonl:1: record is not an object" in capsys.readouterr().err
+
+
+_RANKING_FAULTS = ("unranked question", "unknown ranked id")
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        "no questions file", "no rankings file", "no script file", *_RANKING_FAULTS,
+        "duplicate question id",
+    ],
+)
+def test_an_input_fault_stops_a_sweep_in_its_first_mode_with_one_error_line(
+    tmp_path, capsys, toy_passages, fault
+):
+    missing = tmp_path / "missing.jsonl"
+    ids = [p.passage_id for p in toy_passages][:3]
+    rows = [{"question_id": f"q{i:02d}", "ranked_passage_ids": ids} for i in range(1, 21)]
+    if fault == "unranked question":
+        del rows[1]
+    elif fault == "unknown ranked id":
+        rows[0]["ranked_passage_ids"] = ["nowhere#0", *ids[:2]]
+    rankings = tmp_path / "rankings.jsonl"
+    rankings.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    duplicated = tmp_path / "questions.jsonl"
+    toy = (FIXTURES / "toy_questions.jsonl").read_text(encoding="utf-8")
+    duplicated.write_text(toy + toy.splitlines(True)[0], encoding="utf-8")
+    fields, message = {
+        "no questions file": ({"questions": missing}, f"questions file not found: {missing}"),
+        "no rankings file": ({"rankings": missing}, f"rankings file not found: {missing}"),
+        "no script file": (
+            {"backend": "script", "script": missing}, f"script file not found: {missing}"
+        ),
+        "unranked question": ({"rankings": rankings}, "no precomputed ranking for question 'q02'"),
+        "unknown ranked id": (
+            {"rankings": rankings},
+            "ranked passage id 'nowhere#0' (question 'q01') is not in the corpus",
+        ),
+        "duplicate question id": (
+            {"questions": duplicated}, f"{duplicated}:21: duplicate question id 'q01'"
+        ),
+    }[fault]
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", placement="sweep",
+        **fields,
+    )
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if fault not in _RANKING_FAULTS:
+        assert not (tmp_path / "out").exists()
+        return
+    # the sweep stopped in its first mode: no later mode ran and no sweep.csv
+    assert [path.name for path in (tmp_path / "out").iterdir()] == ["retrieval_order"]
+    manifest = tmp_path / "out" / "retrieval_order" / "manifest.json"
+    manifest = json.loads(manifest.read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["error"]) == ("failed", message)
 
 
 def test_cmd_report_reproduces_run_aggregates(tmp_path, capsys):

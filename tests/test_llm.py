@@ -1,6 +1,7 @@
 """Tests for the completion clients, token accounting, retries, and caching."""
 
 import datetime
+import http.client
 import http.server
 import ipaddress
 import json
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_passage, make_question, run_python, spy_backend
+import ragfuse.cli as cli
+from conftest import FIXTURES, make_passage, make_question, run_python, spy_backend, write_config
 from ragfuse.llm import (
     Backend,
     BudgetError,
@@ -33,7 +35,7 @@ from ragfuse.llm import (
     count_tokens,
     load_script,
 )
-from ragfuse.corpus import CorpusError
+from ragfuse.corpus import CorpusError, load_questions
 from ragfuse.prompts import render_closed_book, render_concatenation
 
 QUESTION = make_question("q1", "what color is the harbor light", ("green", "harbor green"))
@@ -422,8 +424,9 @@ def test_live_client_rejects_an_unusable_timeout_at_construction(timeout, messag
 
 class _ReplayHandler(http.server.BaseHTTPRequestHandler):
     """Answers the nth POST with the server's nth reply (the last one repeats):
-    a (status, body bytes) pair, "garbage" for an unparsable status line, or
-    "stall" for no reply until the server is released."""
+    a (status, body bytes) pair, a function of the payload that gives one,
+    "garbage" for an unparsable status line, or "stall" for no reply until the
+    server is released."""
 
     def do_POST(self):
         server = self.server
@@ -431,6 +434,8 @@ class _ReplayHandler(http.server.BaseHTTPRequestHandler):
         with server.lock:
             server.seen.append((self.headers.get("Authorization"), payload))
             reply = server.replies[min(len(server.seen), len(server.replies)) - 1]
+        if callable(reply):
+            reply = reply(payload)
         if reply == "stall":
             server.released.wait(timeout=10)
         elif reply == "garbage":
@@ -753,6 +758,65 @@ def test_no_more_connections_are_open_at_once_than_calls_allowed_in_flight(serve
     prompts = sorted(payload["messages"][0]["content"] for _, payload in server.seen)
     assert prompts == sorted(f"p {i}" for i in range(40))
     assert server.open_max <= 2
+
+
+def client_connections(server: _CountingServer) -> int:
+    """The connections a server accepted before a probe of its own, which it
+    accepts after every connection already made: they queue in order."""
+    probe = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=10)
+    try:
+        probe.request("GET", "/")  # no do_GET: a 501 reply
+        probe.getresponse().read()
+    finally:
+        probe.close()
+    return server.accepted - 1
+
+
+def test_a_live_sweep_runs_its_three_modes_over_one_client_and_one_cache(
+    serve, tmp_path, monkeypatch, capsys
+):
+    # Each mode used to build its own client, with its own connections and its
+    # own read of the cache file, as three direct runs still do.
+    rule = RuleClient(load_questions(FIXTURES / "toy_questions.jsonl"))
+
+    def answer(payload: dict) -> tuple[int, bytes]:
+        request = CompletionRequest(prompt_text=payload["messages"][0]["content"])
+        return json_reply(200, ok_body(rule.complete(request).text))
+
+    caches = []
+
+    class CountedCache(ResponseCache):
+        def __init__(self, path):
+            caches.append(path)
+            super().__init__(path)
+
+    monkeypatch.setattr(cli, "ResponseCache", CountedCache)
+    runs = {}
+    for name, placements in (
+        ("sweep", ["sweep"]), ("direct", ["retrieval_order", "gold_top", "gold_bottom"])
+    ):
+        server = serve()
+        server.replies = [answer]
+        root = tmp_path / name
+        root.mkdir()
+        caches.clear()
+        usage = []
+        for placement in placements:
+            config_path = write_config(
+                root / "run.yaml", out=root / placement, placement=placement, strategies="all",
+                backend="live", endpoint=server.url, model="m", max_in_flight=1,
+                cache=root / "cache.jsonl",
+            )
+            assert cli.main(["run", "--config", str(config_path)]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            usage += [line for line in printed if line.startswith("usage:")]
+        cached = sorted((root / "cache.jsonl").read_text(encoding="utf-8").splitlines())
+        runs[name] = (usage, cached, len(server.seen), client_connections(server), len(caches))
+    usage, cached, answered, connections, built = runs["sweep"]
+    assert len(usage) == 3
+    assert runs["direct"] == (usage, cached, answered, answered + 3, 3)
+    # HTTP/1.0: one connection a call, and the one opened after the last
+    assert (connections, built) == (answered + 1, 1)
 
 
 def test_a_proxy_from_the_environment_gets_the_whole_url_and_the_credentials(serve, monkeypatch):
