@@ -9,7 +9,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
 
@@ -55,7 +55,6 @@ from .llm import (
 from .prompts import (
     DEFAULT_SENTINEL,
     TEMPLATE_VERSION,
-    Answer,
     UnknownPolicy,
     classify_response,
 )
@@ -172,6 +171,8 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -248,9 +249,8 @@ def question_to_dict(question: Question) -> dict:
     return record
 
 
-# Row layouts of the artifacts, taken once from the dataclasses. Records read
-# back are checked against the field types.
-_TRACE_FIELDS = tuple(f.name for f in fields(StrategyTrace))
+# Each artifact row holds its dataclass's fields. Records read back are checked
+# against the field types.
 _RECORD_TYPES = {name: _value_types(hint) for name, hint in get_type_hints(EvalRecord).items()}
 _REPORT_COLUMNS = tuple(f.name for f in fields(StrategyReport))
 
@@ -268,39 +268,23 @@ def _exchange_to_dict(exchange: Exchange) -> dict:
 
 
 def trace_to_dict(trace: StrategyTrace, exchange_ids: dict[int, int]) -> dict:
-    """Every trace field; an Answer becomes its text, an Exchange the id of its
-    row in exchanges.jsonl, which ``exchange_ids`` holds under the Exchange's
-    id()."""
-    row = {}
-    for name in _TRACE_FIELDS:
-        value = getattr(trace, name)
-        if isinstance(value, Answer):
-            value = value.text
-        elif isinstance(value, tuple) and value and not isinstance(value[0], str):
-            if isinstance(value[0], Answer):
-                value = [answer.text for answer in value]
-            else:
-                value = [exchange_ids[id(exchange)] for exchange in value]
-        row[name] = value
-    return row
+    """Every trace field; each Answer as its text and each Exchange as the id of
+    its exchanges.jsonl row, which ``exchange_ids`` holds under id(exchange)."""
+    answers = trace.per_passage_answers
+    return {
+        **vars(trace),
+        "final": trace.final.text,
+        "exchanges": [exchange_ids[id(exchange)] for exchange in trace.exchanges],
+        "per_passage_answers": None if answers is None else [answer.text for answer in answers],
+    }
 
 
 def record_to_dict(record: EvalRecord) -> dict:
-    return {name: getattr(record, name) for name in _RECORD_TYPES}
-
-
-def _report_row(row: StrategyReport) -> list:
-    return [getattr(row, column) for column in _REPORT_COLUMNS]
+    return dict(vars(record))
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "nm_denominator": report.nm_denominator,
-        "strategies": [
-            {column: getattr(row, column) for column in _REPORT_COLUMNS}
-            for row in report.strategies
-        ],
-    }
+    return asdict(report)
 
 
 def format_report(report: EvalReport) -> str:
@@ -319,15 +303,8 @@ def format_report(report: EvalReport) -> str:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    snapshot = {}
-    for entry in fields(RunConfig):
-        value = getattr(config, entry.name)
-        if isinstance(value, Path):
-            value = str(value)
-        elif entry.name == "strategies":
-            value = [s.value for s in value]
-        snapshot[entry.name] = value
-    return snapshot
+    # A Strategy is a str, so JSON writes it as its name.
+    return {name: str(v) if isinstance(v, Path) else v for name, v in vars(config).items()}
 
 
 def _load_scorable_questions(config: RunConfig) -> list[Question]:
@@ -547,7 +524,7 @@ def _write_run_outputs(
     with (config.out / "report.csv").open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_REPORT_COLUMNS)
-        writer.writerows(_report_row(row) for row in report.strategies)
+        writer.writerows(astuple(row) for row in report.strategies)
     manifest = {
         "command": "run",
         "status": status,
@@ -595,7 +572,7 @@ def cmd_run(config: RunConfig) -> dict[str, EvalReport]:
         writer.writerow(["placement", *_REPORT_COLUMNS])
         for mode in _SWEEP_MODES:
             for row in reports[mode.value].strategies:
-                writer.writerow([mode.value, *_report_row(row)])
+                writer.writerow([mode.value, *astuple(row)])
     print(f"wrote {config.out / 'sweep.csv'}")
     return reports
 

@@ -93,6 +93,7 @@ def test_load_config_reads_types_and_rejects_unknown_keys(tmp_path):
         ("strategies", 5),
         ("unknown_patterns", 3),
         ("seed", "x"),
+        ("k", True),  # a bool is no number, though Python counts it an int
     ],
 )
 def test_main_rejects_a_wrongly_typed_config_value(tmp_path, capsys, key, value):
@@ -110,6 +111,17 @@ def test_main_rejects_malformed_yaml(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {config_path}: invalid YAML "
         "(expected the node content, but found '<stream end>' at line 2, column 1)\n"
+    )
+
+
+def test_main_names_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    # Used to print the decode error without the file name.
+    config_path = tmp_path / "run.yaml"
+    config_path.write_bytes(b"backend: r\xffle\n")
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config_path}: 'utf-8' codec can't decode byte 0xff in position 10: "
+        "invalid start byte\n"
     )
 
 
@@ -296,15 +308,17 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
             "unknown_sentinel must be non-empty once case, surrounding space and "
             "trailing punctuation are dropped, got '?'",
         ),
+        # --backend has argparse choices; only validate checks the config key.
+        ("backend", "banana", "backend must be one of ('rule', 'script', 'live'), got 'banana'"),
     ],
 )
-def test_main_rejects_a_nonfinite_float_or_an_empty_sentinel_before_any_call(
+def test_main_rejects_an_unusable_config_value_before_any_call(
     tmp_path, capsys, key, value, message
 ):
     # k1 at .nan or .inf used to run to exit 0 on NaN weights; timeout at .inf
     # died in socket.settimeout, and at .nan only at the first live call.
     config_path = write_config(
-        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", **_LIVE, **{key: value}
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", **{**_LIVE, key: value}
     )
     refuse = mock.patch.object(llm.LiveClient, "_send_with_retries", side_effect=AssertionError)
     with refuse as sent:

@@ -494,6 +494,18 @@ class _IdleCloseHandler(_KeepAliveHandler):
         self.close_connection = True
 
 
+class _TimeoutReplyHandler(_KeepAliveHandler):
+    """Replies without Connection: close, then writes a 408 that no request
+    asked for and closes, as a server does whose keep-alive timer fires."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.wfile.write(
+            b"HTTP/1.1 408 Request Timeout\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        )
+        self.close_connection = True
+
+
 class _CloseUnderTheSecondRequestHandler(_KeepAliveHandler):
     """Replies to the first request on a connection and keeps it, then reads
     the second and closes without a reply, as a server does whose keep-alive
@@ -700,8 +712,17 @@ def test_an_http10_endpoint_has_each_connection_it_closes_replaced(endpoint):
     assert endpoint.accepted <= 5 + 2
 
 
-def test_a_kept_connection_closed_while_idle_is_replaced_without_a_failed_attempt(serve):
-    server = serve(_IdleCloseHandler)
+@pytest.mark.parametrize(
+    "handler, scheme",
+    [(_IdleCloseHandler, "http"), (_IdleCloseHandler, "https"), (_TimeoutReplyHandler, "https")],
+)
+def test_a_kept_connection_closed_while_idle_is_replaced_without_a_failed_attempt(
+    serve, request, handler, scheme
+):
+    # Over TLS only the idle check guards this: a request sent on the closed
+    # connection fails with an SSL error, or reads the unrequested 408, and
+    # either costs a backoff. Over plain HTTP the resend at once covers it too.
+    server = serve(handler, request.getfixturevalue("tls") if scheme == "https" else None)
     server.replies = [json_reply(200, ok_body("ok"))]
     client, sleeps = http_client(server.url)
     for i in range(3):
