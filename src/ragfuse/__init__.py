@@ -17,7 +17,6 @@ from .evaluation import (
     aggregate,
     exact_match,
     f1_score,
-    filter_dataset,
     normalize_answer,
     score_trace,
 )
@@ -64,6 +63,7 @@ from .strategies import (
     Exchange,
     Strategy,
     StrategyTrace,
+    filter_dataset,
     majority_vote,
     run_concat_pf,
     run_concatenation,

@@ -33,7 +33,6 @@ from .evaluation import (
     StrategyReport,
     aggregate,
     exact_match,
-    filter_dataset,
     score_trace,
 )
 from .llm import (
@@ -69,7 +68,7 @@ from .retriever import (
     retrieve_top_k,
     tokenize,
 )
-from .strategies import Exchange, Strategy, StrategyTrace, run_strategy, send_ahead
+from .strategies import Exchange, Strategy, StrategyTrace, filter_dataset, run_strategy, send_ahead
 
 _BACKENDS = tuple(backend.value for backend in Backend)
 _SWEEP = "sweep"
@@ -595,16 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, type=Path, help="YAML config file")
     shared.add_argument("--out", type=Path, help="output directory override")
-    shared.add_argument("--k", type=int, help="number of passages override")
-    shared.add_argument("--seed", type=int, help="rng seed override")
     shared.add_argument("--backend", choices=_BACKENDS, help="backend override")
-    shared.add_argument("--placement", choices=_PLACEMENTS, help="gold placement mode override")
-    shared.add_argument("--strategies", help="comma-separated strategy names, or 'all'")
-    shared.add_argument("--workers", type=int, help="question-level worker count")
-    shared.add_argument(
-        "--nm-denominator", dest="nm_denominator", choices=NM_DENOMINATORS,
-        help="no-match rate denominator",
-    )
     shared.add_argument(
         "--max-response-tokens", dest="max_response_tokens", type=int,
         help="per-call response token cap",
@@ -617,7 +607,16 @@ def _build_parser() -> argparse.ArgumentParser:
     commands.add_parser(
         "filter", parents=[shared], help="drop questions the model answers closed-book"
     )
-    commands.add_parser("run", parents=[shared], help="run strategies and score them")
+    run = commands.add_parser("run", parents=[shared], help="run strategies and score them")
+    run.add_argument("--k", type=int, help="number of passages override")
+    run.add_argument("--seed", type=int, help="rng seed override")
+    run.add_argument("--placement", choices=_PLACEMENTS, help="gold placement mode override")
+    run.add_argument("--strategies", help="comma-separated strategy names, or 'all'")
+    run.add_argument("--workers", type=int, help="question-level worker count")
+    run.add_argument(
+        "--nm-denominator", dest="nm_denominator", choices=NM_DENOMINATORS,
+        help="no-match rate denominator",
+    )
     report = commands.add_parser("report", help="recompute aggregates from stored records")
     report.add_argument("records", type=Path, help="run output directory or records.jsonl path")
     report.add_argument(

@@ -1,4 +1,4 @@
-"""Answer normalization, EM/F1 scoring, dataset filtering, and aggregation."""
+"""Answer normalization, EM/F1 scoring, and aggregation."""
 
 from __future__ import annotations
 
@@ -8,14 +8,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Question
-from .llm import CompletionClient, CompletionRequest
-from .prompts import (
-    DEFAULT_UNKNOWN_POLICY,
-    PromptKind,
-    UnknownPolicy,
-    classify_response,
-    render_closed_book,
-)
 
 if TYPE_CHECKING:  # import only for type hints; avoids a module cycle
     from .strategies import StrategyTrace
@@ -124,35 +116,6 @@ def score_trace(trace: "StrategyTrace", question: Question) -> EvalRecord:
         prompt_tokens_total=trace.prompt_tokens_total,
         completion_tokens_total=trace.completion_tokens_total,
     )
-
-
-def filter_dataset(
-    questions: Sequence[Question],
-    client: CompletionClient,
-    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-) -> tuple[list[Question], list[Question]]:
-    """Split questions into (kept, removed) by a closed-book probe.
-
-    A question is removed when the model already answers it correctly with no
-    passages (exact match after classification), so retrieval effects stay
-    measurable on what remains.
-    """
-    kept: list[Question] = []
-    removed: list[Question] = []
-    for question in questions:
-        request = CompletionRequest(
-            prompt_text=render_closed_book(question, sentinel=policy.sentinel),
-            max_response_tokens=max_response_tokens,
-            question_id=question.question_id,
-            exchange_key=PromptKind.CLOSED_BOOK.value,
-        )
-        answer = classify_response(client.complete(request).text, policy)
-        if not answer.is_unknown and exact_match(answer.text, question.gold_answers) == 1:
-            removed.append(question)
-        else:
-            kept.append(question)
-    return kept, removed
 
 
 @dataclass(frozen=True)

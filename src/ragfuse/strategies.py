@@ -1,4 +1,4 @@
-"""The six passage-integration strategies and the majority-vote reducer."""
+"""The six passage-integration strategies, the majority vote and the closed-book filter."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .corpus import Passage, Question
-from .evaluation import normalize_answer
+from .evaluation import exact_match, normalize_answer
 from .llm import CompletionClient, CompletionRequest, CompletionResponse
 from .prompts import (
     DEFAULT_UNKNOWN_POLICY,
@@ -18,6 +18,7 @@ from .prompts import (
     PromptKind,
     UnknownPolicy,
     classify_response,
+    render_closed_book,
     render_concatenation,
     render_distill,
     render_post_fusion_single,
@@ -119,7 +120,8 @@ def _fetch(
 ) -> tuple[Exchange, Answer]:
     """Render the prompt the exchange key names, send it and classify the
     reply. ``passages`` are the question's, or for distill the survivors,
-    whose answers are ``candidates``. A failed call raises, its message
+    whose answers are ``candidates``; the closed-book probe passes none, and
+    its prompt holds only the question. A failed call raises, its message
     prefixed with the question and exchange; an OSError becomes a new
     OSError raised from it.
 
@@ -130,6 +132,8 @@ def _fetch(
     if exchange_key.startswith("pf:"):
         kind, render = PromptKind.POST_FUSION_SINGLE, render_post_fusion_single
         inputs = (passages[int(exchange_key[3:])], question)
+    elif exchange_key == "closed_book":
+        kind, render, inputs = PromptKind.CLOSED_BOOK, render_closed_book, (question,)
     elif exchange_key == "distill":
         kind, render = PromptKind.DISTILL, render_distill
         inputs = (passages, question, list(candidates))
@@ -283,3 +287,27 @@ run_pruning = partial(run_strategy, Strategy.PRUNING)
 run_summary = partial(run_strategy, Strategy.SUMMARY)
 run_concat_pf = partial(run_strategy, Strategy.CONCAT_PF)
 run_pf_concat = partial(run_strategy, Strategy.PF_CONCAT)
+
+
+def filter_dataset(
+    questions: Sequence[Question],
+    client: CompletionClient,
+    policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
+    max_response_tokens: int = 64,
+) -> tuple[list[Question], list[Question]]:
+    """Split questions into (kept, removed) by a closed-book probe.
+
+    A question is removed when the model already answers it correctly with no
+    passages (exact match after classification), so retrieval effects stay
+    measurable on what remains. A failed probe raises as _fetch does, naming
+    the question.
+    """
+    kept: list[Question] = []
+    removed: list[Question] = []
+    for question in questions:
+        _, answer = _fetch(client, question, policy, max_response_tokens, (), "closed_book")
+        if not answer.is_unknown and exact_match(answer.text, question.gold_answers) == 1:
+            removed.append(question)
+        else:
+            kept.append(question)
+    return kept, removed

@@ -180,6 +180,12 @@ _FLAG_VALUES = {
     "max_response_tokens": ("9", 9),
 }
 _FIELDS = {entry.name for entry in fields(RunConfig)}
+# The flags each command takes; filter's probe reads no retrieval, placement,
+# strategy, worker or report setting.
+_COMMAND_FLAGS = {
+    "run": sorted(_FLAG_VALUES),
+    "filter": ["backend", "max_response_tokens", "out"],
+}
 
 
 @pytest.mark.parametrize("command", ["run", "filter"])
@@ -187,12 +193,13 @@ def test_flags_not_given_leave_every_config_value(tmp_path, command):
     path = write_config(tmp_path / "run.yaml", out=tmp_path / "out")
     args = cli._build_parser().parse_args([command, "--config", "x"])
     # The table above covers every flag whose dest is a config field.
-    assert {name for name in vars(args) if name in _FIELDS} == set(_FLAG_VALUES)
+    assert {name for name in vars(args) if name in _FIELDS} == set(_COMMAND_FLAGS[command])
     assert apply_overrides(load_config(path), args) == load_config(path)
 
 
-@pytest.mark.parametrize("command", ["run", "filter"])
-@pytest.mark.parametrize("name", sorted(_FLAG_VALUES))
+@pytest.mark.parametrize(
+    "name, command", [(name, command) for command, names in _COMMAND_FLAGS.items() for name in names]
+)
 def test_each_flag_overrides_its_config_field_and_no_other(tmp_path, command, name):
     path = write_config(tmp_path / "run.yaml", out=tmp_path / "out")
     text, expected = _FLAG_VALUES[name]
@@ -202,6 +209,17 @@ def test_each_flag_overrides_its_config_field_and_no_other(tmp_path, command, na
     updated = apply_overrides(load_config(path), args)
     assert getattr(updated, name) == expected != getattr(before, name)
     assert replace(updated, **{name: getattr(before, name)}) == before
+
+
+@pytest.mark.parametrize("name", sorted(set(_FLAG_VALUES) - set(_COMMAND_FLAGS["filter"])))
+def test_filter_rejects_each_run_only_flag(tmp_path, capsys, name):
+    config_path = write_config(tmp_path / "run.yaml", out=tmp_path / "out")
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(SystemExit) as exit_:
+        main(["filter", "--config", str(config_path), flag, _FLAG_VALUES[name][0]])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_placement_and_seed_flags_reach_the_gold_placement(tmp_path, toy_index, toy_questions):

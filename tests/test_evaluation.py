@@ -1,4 +1,4 @@
-"""Tests for normalization, EM/F1, trace scoring, filtering, and aggregation."""
+"""Tests for normalization, EM/F1, trace scoring, and aggregation."""
 
 import unicodedata
 
@@ -12,7 +12,6 @@ from ragfuse.evaluation import (
     aggregate,
     exact_match,
     f1_score,
-    filter_dataset,
     normalize_answer,
     score_trace,
 )
@@ -154,28 +153,6 @@ def test_score_trace_rejects_mismatched_question():
 def test_score_trace_is_pure():
     trace, question = vote_trace(["paris", "london", "london"], ("paris",))
     assert score_trace(trace, question) == score_trace(trace, question)
-
-
-def test_filter_removes_closed_book_answers():
-    questions = [
-        make_question("q1", "first", ("Paris",)),
-        make_question("q2", "second", ("London",)),
-        make_question("q3", "third", ("Rome",)),
-    ]
-    client = ScriptClient(
-        {
-            ("q1", "closed_book"): "paris",
-            ("q2", "closed_book"): "unknown",
-            ("q3", "closed_book"): "Madrid",
-        }
-    )
-    kept, removed = filter_dataset(questions, client)
-    assert [q.question_id for q in removed] == ["q1"]
-    assert [q.question_id for q in kept] == ["q2", "q3"]
-
-
-def test_filter_empty_input():
-    assert filter_dataset([], ScriptClient({})) == ([], [])
 
 
 def record(

@@ -1,4 +1,4 @@
-"""Tests for the six strategy pipelines and the majority-vote reducer."""
+"""Tests for the six strategy pipelines, the majority-vote reducer and the closed-book filter."""
 
 import json
 import threading
@@ -15,6 +15,7 @@ from ragfuse.prompts import UNKNOWN, Answer, PromptKind, classify_response, extr
 from ragfuse.retriever import retrieve_top_k
 from ragfuse.strategies import (
     Strategy,
+    filter_dataset,
     majority_vote,
     run_concat_pf,
     run_concatenation,
@@ -575,3 +576,25 @@ def test_a_shared_memo_matches_fresh_runs_and_sends_each_request_once(strategies
     requests = {e.request for trace in shared for e in trace.exchanges}
     assert len(reached) == len(set(reached)) == len(requests)
     assert set(reached) == requests
+
+
+def test_filter_removes_closed_book_answers():
+    questions = [
+        make_question("q1", "first", ("Paris",)),
+        make_question("q2", "second", ("London",)),
+        make_question("q3", "third", ("Rome",)),
+    ]
+    client = ScriptClient(
+        {
+            ("q1", "closed_book"): "paris",
+            ("q2", "closed_book"): "unknown",
+            ("q3", "closed_book"): "Madrid",
+        }
+    )
+    kept, removed = filter_dataset(questions, client)
+    assert [q.question_id for q in removed] == ["q1"]
+    assert [q.question_id for q in kept] == ["q2", "q3"]
+
+
+def test_filter_empty_input():
+    assert filter_dataset([], ScriptClient({})) == ([], [])
