@@ -550,6 +550,14 @@ def cmd_run(config: RunConfig) -> dict[str, EvalReport]:
     passages = chunk_corpus(load_corpus(config.corpus), config.max_passage_words)
     questions = _load_scorable_questions(config)
     by_id = {p.passage_id: p for p in passages}
+    if config.placement != PlacementMode.NO_GOLD.value:  # a sweep's three modes place gold
+        for question in questions:  # checked before any call is billed
+            if question.gold_passage_id not in by_id:
+                raise ValueError(
+                    f"{config.questions}: question {question.question_id!r}: placement "
+                    f"{config.placement} needs its gold passage, but its gold_passage_id "
+                    f"({question.gold_passage_id!r}) names no corpus passage"
+                )
     rankings = load_rankings(config.rankings) if config.rankings is not None else None
     index = None
     if rankings is None:

@@ -285,8 +285,9 @@ _RETRY_DELAYS = (1.0, 2.0, 4.0)
 
 
 def check_endpoint(endpoint: str) -> None:
-    """An http(s) URL with a host, which also keeps urlopen's file: and ftp:
-    handlers out of reach."""
+    """An http(s) URL with a host. The transport picks its connection class by
+    the scheme alone, so it would send any other scheme (ftp:, a typo) as
+    plain HTTP, and a URL without a host names no address to connect to."""
     parts = urllib.parse.urlsplit(endpoint)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"endpoint must be an http:// or https:// URL with a host: {endpoint!r}")

@@ -1123,6 +1123,38 @@ def test_an_input_fault_stops_a_sweep_in_its_first_mode_with_one_error_line(
     assert (manifest["status"], manifest["error"]) == ("failed", message)
 
 
+@pytest.mark.parametrize("placement", ["gold_top", "sweep"])
+@pytest.mark.parametrize("gold", [None, "nowhere#0"])
+def test_a_gold_passage_missing_from_the_corpus_stops_the_run_before_any_call(
+    tmp_path, capsys, monkeypatch, placement, gold
+):
+    rows = [json.loads(line) for line in (FIXTURES / "toy_questions.jsonl").open(encoding="utf-8")]
+    rows[5]["gold_passage_id"] = gold  # q06
+    if gold is None:
+        del rows[5]["gold_passage_id"]
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    billed = []
+    real_make_client = cli.make_client
+
+    def make_client(config, questions):
+        client = real_make_client(config, questions)
+        billed.append(spy_backend(client))
+        return client
+
+    monkeypatch.setattr(cli, "make_client", make_client)
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", questions=questions, placement=placement
+    )
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {questions}: question 'q06': placement {placement} needs its gold passage, "
+        f"but its gold_passage_id ({gold!r}) names no corpus passage\n"
+    )
+    assert sum(map(len, billed)) == 0
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_report_reproduces_run_aggregates(tmp_path, capsys):
     config = run_config(tmp_path)
     run_report = cmd_run(config)["no_gold"]
@@ -1305,6 +1337,27 @@ def test_resumed_live_run_sends_each_distinct_payload_once(fail_after, workers):
         assert len(first.answered) == min(fail_after, len(full))
         assert sorted(sent) == sorted(full)
         assert (root / "resumed" / "records.jsonl").read_bytes() == records
+
+
+def test_a_live_filter_names_its_failed_probe_and_resumes_from_its_cache(tmp_path, capsys):
+    config_path = write_config(tmp_path / "run.yaml", cache=tmp_path / "cache.jsonl", **_LIVE)
+
+    def live_filter(endpoint: FlakyEndpoint, out: str) -> int:
+        with mock.patch.object(llm, "_http_transport", lambda *args: endpoint):
+            return main(["filter", "--config", str(config_path), "--out", str(tmp_path / out)])
+
+    full = FlakyEndpoint()
+    assert live_filter(full, "full") == 0
+    (tmp_path / "cache.jsonl").unlink()
+    first, resumed = FlakyEndpoint(fail_after=5), FlakyEndpoint()
+    assert live_filter(first, "first") == 2
+    err = capsys.readouterr().err
+    assert err == "error: question q06 (closed_book): HTTP 400 from completion endpoint: {}\n"
+    assert live_filter(resumed, "resumed") == 0
+    assert len(first.answered) == 5 and len(resumed.answered) == 15
+    assert sorted(first.answered + resumed.answered) == sorted(full.answered)
+    for name in ("kept.jsonl", "removed.jsonl", "filter.json"):
+        assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 class GatedEndpoint:

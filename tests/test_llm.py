@@ -9,6 +9,7 @@ import math
 import select
 import socket
 import ssl
+import struct
 import sys
 import threading
 import time
@@ -520,6 +521,29 @@ class _CloseUnderTheSecondRequestHandler(_KeepAliveHandler):
         super().do_POST()
 
 
+class _ResetWhenReleasedHandler(_KeepAliveHandler):
+    """Replies to the first request and keeps its connection until the server
+    is released, then resets it: with SO_LINGER 0 the close sends RST, no FIN."""
+
+    def do_POST(self):
+        super().do_POST()
+        if len(self.server.seen) == 1:
+            self.server.released.wait(timeout=10)
+            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            self.connection.close()
+            self.close_connection = True
+
+
+class _StopListeningHandler(_ReplayHandler):
+    """Stops the server and closes its listening socket before it replies, so
+    that every later connection is refused."""
+
+    def do_POST(self):
+        self.server.shutdown()  # serve_forever runs on its own thread
+        self.server.socket.close()
+        super().do_POST()
+
+
 class _ProxyHandler(_ReplayHandler):
     """A proxy: records the target of each request line and its
     Proxy-Authorization in server.targets, then replies itself."""
@@ -741,6 +765,31 @@ def test_a_kept_connection_closed_under_its_request_is_resent_at_once_on_a_new_o
         assert client.complete(CompletionRequest(prompt_text=f"p {i}")).text == "ok"
     assert [payload["messages"][0]["content"] for _, payload in server.seen] == ["p 0", "p 1", "p 2"]
     assert sleeps == [] and server.accepted == 3
+
+
+def test_a_kept_connection_reset_while_idle_is_replaced_without_a_failed_attempt(serve):
+    # The idle check's read raises ConnectionResetError, not returns b"": the
+    # connection is dropped as one the server closed.
+    server = serve(_ResetWhenReleasedHandler)
+    server.replies = [json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(server.url)
+    assert client.complete(CompletionRequest(prompt_text="p 0")).text == "ok"
+    server.released.set()  # only now: a reset before the reply is read destroys it
+    assert server.closed.acquire(timeout=10)
+    assert client.complete(CompletionRequest(prompt_text="p 1")).text == "ok"
+    assert (server.accepted, len(server.seen), sleeps) == (2, 2, [])
+
+
+def test_a_replacement_that_cannot_connect_leaves_the_call_its_reply(serve):
+    server = serve(_StopListeningHandler)
+    server.replies = [json_reply(200, ok_body("ok"))]
+    client, sleeps = http_client(server.url)
+    # The reply closes its connection, and opening the replacement is refused.
+    assert client.complete(CompletionRequest(prompt_text="p 0")).text == "ok"
+    assert sleeps == []
+    with pytest.raises(TransportError, match="gave up after 4 attempts: request to"):
+        client.complete(CompletionRequest(prompt_text="p 1"))
+    assert sleeps == [1.0, 2.0, 4.0] and len(server.seen) == 1
 
 
 @pytest.mark.parametrize("handler, connections", [(_ReplayHandler, 6), (_KeepAliveHandler, 1)])
