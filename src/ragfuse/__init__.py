@@ -65,13 +65,7 @@ from .strategies import (
     StrategyTrace,
     filter_dataset,
     majority_vote,
-    run_concat_pf,
-    run_concatenation,
-    run_pf_concat,
-    run_post_fusion,
-    run_pruning,
     run_strategy,
-    run_summary,
 )
 
 __version__ = "0.1.0"

@@ -58,8 +58,8 @@ from .prompts import (
     classify_response,
 )
 from .retriever import (
-    Bm25Index,
     PlacementMode,
+    RankedList,
     RetrievalConfig,
     apply_gold_placement,
     build_index,
@@ -127,15 +127,21 @@ class RunConfig(RetrievalConfig):
         )
 
     def validate(self, command: str = "run") -> None:
-        if self.placement not in _PLACEMENTS:
-            raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
-        super().validate()
-        if command == "run" and not self.corpus.exists():
-            raise ValueError(f"corpus file not found: {self.corpus}")
+        if command == "run":  # filter only probes: it ranks, places and aggregates nothing
+            if self.placement not in _PLACEMENTS:
+                raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
+            super().validate()
+            if not self.corpus.exists():
+                raise ValueError(f"corpus file not found: {self.corpus}")
+            if self.rankings is not None and not self.rankings.exists():
+                raise ValueError(f"rankings file not found: {self.rankings}")
+            if not self.strategies:
+                raise ValueError("strategy list must be non-empty")
+            if self.workers < 1:
+                raise ValueError("workers must be >= 1")
+            aggregate((), self.nm_denominator)  # an empty report; rejects an unknown name
         if not self.questions.exists():
             raise ValueError(f"questions file not found: {self.questions}")
-        if command == "run" and self.rankings is not None and not self.rankings.exists():
-            raise ValueError(f"rankings file not found: {self.rankings}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         if self.backend == "script":
@@ -147,13 +153,8 @@ class RunConfig(RetrievalConfig):
             if not self.endpoint or not self.model:
                 raise ValueError("live backend needs both endpoint and model")
             check_endpoint(self.endpoint)
-        if not self.strategies:
-            raise ValueError("strategy list must be non-empty")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         check_max_response_tokens(self.max_response_tokens)
         check_live_settings(self.timeout, self.max_in_flight)
-        aggregate((), self.nm_denominator)  # an empty report; rejects an unknown nm_denominator
         self.policy()  # UnknownPolicy rejects a blank sentinel or pattern
 
 
@@ -349,38 +350,39 @@ def cmd_filter(config: RunConfig) -> tuple[list[Question], list[Question]]:
     return kept, removed
 
 
-def _passages_for_question(
-    question: Question,
-    index: Bm25Index | None,
-    rankings: dict[str, list[str]] | None,
+def _rank(
+    config: RunConfig, questions: Sequence[Question], passages: list[Passage],
     by_id: dict[str, Passage],
-    config: RunConfig,
-) -> list[Passage]:
-    if rankings is not None:
-        if question.question_id not in rankings:
-            raise ValueError(f"no precomputed ranking for question {question.question_id!r}")
-        ranked = ranked_list_from_ids(
-            question.question_id, rankings[question.question_id], config.k
-        )
-    else:
-        ranked = retrieve_top_k(index, question.text, config.k, question_id=question.question_id)
-    ranked = apply_gold_placement(ranked, question, config)
-    selected = []
-    for pid in ranked.passage_ids():
-        if pid not in by_id:
-            raise ValueError(
-                f"ranked passage id {pid!r} (question {question.question_id!r}) "
-                f"is not in the corpus"
-            )
-        selected.append(by_id[pid])
-    return selected
+) -> dict[str, RankedList]:
+    """Each question's top k by id, from the rankings file (ids checked against the
+    corpus) or a BM25 index; the index, or the file's full lists, is freed on return."""
+    if config.rankings is None:
+        terms = {term for question in questions for term in tokenize(question.text)}
+        index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b, terms=terms)
+        return {
+            q.question_id: retrieve_top_k(index, q.text, config.k, question_id=q.question_id)
+            for q in questions
+        }
+    rankings = load_rankings(config.rankings)
+    ranked = {}
+    for question in questions:
+        qid = question.question_id
+        if qid not in rankings:
+            raise ValueError(f"no precomputed ranking for question {qid!r}")
+        ranked[qid] = ranked_list_from_ids(qid, rankings[qid], config.k)
+        for pid in ranked[qid].passage_ids():
+            if pid not in by_id:
+                raise ValueError(
+                    f"ranked passage id {pid!r} (question {qid!r}) is not in the corpus"
+                )
+    return ranked
 
 
 def _run_single(
-    config: RunConfig, questions: Sequence[Question], select: Callable, client: CompletionClient
+    config: RunConfig, questions: Sequence[Question], ranked: dict[str, RankedList],
+    by_id: dict[str, Passage], client: CompletionClient,
 ) -> EvalReport:
-    """One run at a concrete placement mode over loaded inputs, where
-    select(question, config) gives a question's passages; writes all artifacts."""
+    """One run at a concrete placement mode over each question's ranking; writes all artifacts."""
     policy = config.policy()
 
     # A live client waits on the endpoint, so each question's first round goes out
@@ -396,7 +398,9 @@ def _run_single(
         """The question's (trace, record) pairs, and its distinct exchanges,
         each request that reached the client once, in the order the traces
         first refer to them."""
-        selected = select(question, config)
+        placed = apply_gold_placement(ranked[question.question_id], question, config)
+        # Every id is a corpus passage: _rank and cmd_run's gold check saw to that.
+        selected = [by_id[pid] for pid in placed.passage_ids()]
         # One memo per question: its strategies repeat each other's calls.
         # Only this thread reads or writes it, so it needs no lock.
         memo = {} if sending is None else send_ahead(
@@ -558,22 +562,14 @@ def cmd_run(config: RunConfig) -> dict[str, EvalReport]:
                     f"{config.placement} needs its gold passage, but its gold_passage_id "
                     f"({question.gold_passage_id!r}) names no corpus passage"
                 )
-    rankings = load_rankings(config.rankings) if config.rankings is not None else None
-    index = None
-    if rankings is None:
-        terms = {term for question in questions for term in tokenize(question.text)}
-        index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b, terms=terms)
+    ranked = _rank(config, questions, passages, by_id)  # once: a sweep's modes share it
     client = make_client(config, questions)
-
-    def select(question: Question, placed: RunConfig) -> list[Passage]:
-        return _passages_for_question(question, index, rankings, by_id, placed)
-
     if config.placement != _SWEEP:
-        return {config.placement: _run_single(config, questions, select, client)}
+        return {config.placement: _run_single(config, questions, ranked, by_id, client)}
     reports: dict[str, EvalReport] = {}
     for mode in _SWEEP_MODES:
         sub = replace(config, placement=mode.value, out=config.out / mode.value)
-        reports[mode.value] = _run_single(sub, questions, select, client)
+        reports[mode.value] = _run_single(sub, questions, ranked, by_id, client)
     with (config.out / "sweep.csv").open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["placement", *_REPORT_COLUMNS])

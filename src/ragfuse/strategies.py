@@ -280,11 +280,9 @@ def run_strategy(
     )
 
 
-# One name per strategy for callers that fix the strategy in code.
+# tests/test_acceptance.py runs these four by name; other callers pass run_strategy a Strategy.
 run_concatenation = partial(run_strategy, Strategy.CONCAT)
 run_post_fusion = partial(run_strategy, Strategy.POST_FUSION)
-run_pruning = partial(run_strategy, Strategy.PRUNING)
-run_summary = partial(run_strategy, Strategy.SUMMARY)
 run_concat_pf = partial(run_strategy, Strategy.CONCAT_PF)
 run_pf_concat = partial(run_strategy, Strategy.PF_CONCAT)
 

@@ -592,14 +592,42 @@ def test_filter_writes_each_half_as_its_questions_were_read(tmp_path, toy_questi
     assert kept == [q for q in toy_questions if q.question_id not in answered]
 
 
-def test_filter_needs_neither_the_corpus_nor_the_rankings_and_run_needs_both(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "settings, run_error",
+    [
+        ({}, None),
+        (
+            {"k": 50, "max_passage_words": 100, "model_input_budget": 2048},
+            "k * max_passage_words must stay below the model input budget: 50 * 100 >= 2048",
+        ),
+        ({"strategies": []}, "strategy list must be non-empty"),
+        (
+            {"nm_denominator": "bogus"},
+            f"nm_denominator must be one of {cli.NM_DENOMINATORS}, got 'bogus'",
+        ),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"placement": "nowhere"}, f"placement must be one of {cli._PLACEMENTS}, got 'nowhere'"),
+    ],
+    ids=["defaults", "passage budget", "no strategies", "nm_denominator", "workers", "placement"],
+)
+def test_filter_needs_neither_the_corpus_nor_the_rankings_and_run_needs_both(
+    tmp_path, capsys, settings, run_error
+):
+    # filter used to reject each of these settings, though only run reads them.
     corpus, rankings = tmp_path / "no_corpus.jsonl", tmp_path / "no_rankings.jsonl"
     config_path = write_config(
-        tmp_path / "run.yaml", out=tmp_path / "out", corpus=corpus, rankings=rankings
+        tmp_path / "run.yaml", out=tmp_path / "out", corpus=corpus, rankings=rankings, **settings
     )
     assert main(["filter", "--config", str(config_path)]) == 0
     summary = json.loads((tmp_path / "out" / "filter.json").read_text(encoding="utf-8"))
     assert summary["total"] == 20
+    if run_error is not None:
+        config_path = write_config(tmp_path / "run.yaml", out=tmp_path / "run", **settings)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {run_error}\n"
+        assert not (tmp_path / "run").exists()
+        return
     for name, missing in (("corpus", corpus), ("rankings", rankings)):
         config_path = write_config(tmp_path / "run.yaml", out=tmp_path / name, **{name: missing})
         capsys.readouterr()
@@ -706,13 +734,13 @@ def test_workers_run_at_most_a_window_of_questions_ahead_of_the_writer(tmp_path,
     workers = 2
     lock = threading.Lock()
     started, written, ahead = [0], [0], []
-    select, to_dict = cli._passages_for_question, cli.record_to_dict
+    place, to_dict = cli.apply_gold_placement, cli.record_to_dict
 
-    def counted_select(*args):
+    def counted_place(*args):
         with lock:
             started[0] += 1
             ahead.append(started[0] - written[0])
-        return select(*args)
+        return place(*args)
 
     def slow_to_dict(record):
         time.sleep(0.01)
@@ -720,7 +748,7 @@ def test_workers_run_at_most_a_window_of_questions_ahead_of_the_writer(tmp_path,
             written[0] += 1
         return to_dict(record)
 
-    monkeypatch.setattr(cli, "_passages_for_question", counted_select)
+    monkeypatch.setattr(cli, "apply_gold_placement", counted_place)
     monkeypatch.setattr(cli, "record_to_dict", slow_to_dict)
     cmd_run(run_config(tmp_path, strategies="concat", workers=workers))
     assert started[0] == written[0] == 20
@@ -836,14 +864,32 @@ def test_cmd_run_sweep_produces_one_row_per_mode(tmp_path):
         assert (tmp_path / "out" / mode / "records.jsonl").exists()
 
 
-def test_each_sweep_mode_writes_what_a_direct_run_at_that_mode_writes(tmp_path, capsys):
-    cmd_run(run_config(tmp_path, strategies="all", placement="sweep"))
+def write_rankings(tmp_path, toy_passages) -> Path:
+    """A rankings file that ranks the first three toy passages for every toy question."""
+    ids = [p.passage_id for p in toy_passages][:3]
+    rankings = tmp_path / "rankings.jsonl"
+    rankings.write_text(
+        "".join(
+            json.dumps({"question_id": f"q{i:02d}", "ranked_passage_ids": ids}) + "\n"
+            for i in range(1, 21)
+        ),
+        encoding="utf-8",
+    )
+    return rankings
+
+
+@pytest.mark.parametrize("ranked", [False, True])
+def test_each_sweep_mode_writes_what_a_direct_run_at_that_mode_writes(
+    tmp_path, capsys, toy_passages, ranked
+):
+    fields = {"rankings": write_rankings(tmp_path, toy_passages)} if ranked else {}
+    cmd_run(run_config(tmp_path, strategies="all", placement="sweep", **fields))
     swept = usage_lines(capsys)
     modes = ("retrieval_order", "gold_top", "gold_bottom")
     assert len(swept) == len(modes)
     for mode, usage in zip(modes, swept):
         direct = tmp_path / "direct" / mode
-        cmd_run(run_config(tmp_path, strategies="all", placement=mode, out=direct))
+        cmd_run(run_config(tmp_path, strategies="all", placement=mode, out=direct, **fields))
         # each mode bills its own calls, not a running total of the sweep
         assert usage_lines(capsys) == [usage]
         for name in ("traces.jsonl", "records.jsonl", "tokens.csv", "report.json"):
@@ -854,7 +900,8 @@ def test_each_sweep_mode_writes_what_a_direct_run_at_that_mode_writes(tmp_path, 
 def test_a_sweep_loads_indexes_and_builds_its_client_once(
     tmp_path, monkeypatch, toy_passages, ranked
 ):
-    # Each mode used to load, chunk and index the corpus and build a client again.
+    # Each mode used to load, chunk and index the corpus and build a client
+    # again, and to rank every question again.
     calls: dict[str, int] = {}
 
     def counted(name: str):
@@ -868,26 +915,17 @@ def test_a_sweep_loads_indexes_and_builds_its_client_once(
 
     for name in (
         "load_corpus", "chunk_corpus", "load_questions", "build_index", "load_rankings",
-        "make_client",
+        "make_client", "retrieve_top_k", "ranked_list_from_ids",
     ):
         monkeypatch.setattr(cli, name, counted(name))
-    fields = {}
-    if ranked:
-        ids = [p.passage_id for p in toy_passages][:3]
-        rankings = tmp_path / "rankings.jsonl"
-        rankings.write_text(
-            "".join(
-                json.dumps({"question_id": f"q{i:02d}", "ranked_passage_ids": ids}) + "\n"
-                for i in range(1, 21)
-            ),
-            encoding="utf-8",
-        )
-        fields["rankings"] = rankings
+    fields = {"rankings": write_rankings(tmp_path, toy_passages)} if ranked else {}
     reports = cmd_run(run_config(tmp_path, strategies="concat", placement="sweep", **fields))
     assert sorted(reports) == ["gold_bottom", "gold_top", "retrieval_order"]
-    index = "load_rankings" if ranked else "build_index"
+    index, rank = ("load_rankings", "ranked_list_from_ids") if ranked else (
+        "build_index", "retrieve_top_k"
+    )
     once = ["load_corpus", "chunk_corpus", "load_questions", index, "make_client"]
-    assert calls == dict.fromkeys(once, 1)
+    assert calls == {**dict.fromkeys(once, 1), rank: 20}  # one ranking per question
 
 
 def write_scene(root: Path, title: str, text: str, question: str) -> tuple[Path, Path]:
@@ -1067,19 +1105,18 @@ def test_main_rejects_a_rankings_row_that_is_not_an_object(tmp_path, capsys):
     assert "rankings.jsonl:1: record is not an object" in capsys.readouterr().err
 
 
-_RANKING_FAULTS = ("unranked question", "unknown ranked id")
-
-
 @pytest.mark.parametrize(
     "fault",
     [
-        "no questions file", "no rankings file", "no script file", *_RANKING_FAULTS,
-        "duplicate question id",
+        "no questions file", "no rankings file", "no script file", "unranked question",
+        "unknown ranked id", "duplicate question id",
     ],
 )
 def test_an_input_fault_stops_a_sweep_in_its_first_mode_with_one_error_line(
     tmp_path, capsys, toy_passages, fault
 ):
+    # Every question is ranked before the client is built, so a ranking fault
+    # stops the sweep before its first mode writes a file, as the others do.
     missing = tmp_path / "missing.jsonl"
     ids = [p.passage_id for p in toy_passages][:3]
     rows = [{"question_id": f"q{i:02d}", "ranked_passage_ids": ids} for i in range(1, 21)]
@@ -1113,14 +1150,7 @@ def test_an_input_fault_stops_a_sweep_in_its_first_mode_with_one_error_line(
     )
     assert main(["run", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    if fault not in _RANKING_FAULTS:
-        assert not (tmp_path / "out").exists()
-        return
-    # the sweep stopped in its first mode: no later mode ran and no sweep.csv
-    assert [path.name for path in (tmp_path / "out").iterdir()] == ["retrieval_order"]
-    manifest = tmp_path / "out" / "retrieval_order" / "manifest.json"
-    manifest = json.loads(manifest.read_text(encoding="utf-8"))
-    assert (manifest["status"], manifest["error"]) == ("failed", message)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("placement", ["gold_top", "sweep"])

@@ -16,7 +16,7 @@ from ragfuse.evaluation import (
     score_trace,
 )
 from ragfuse.llm import ScriptClient
-from ragfuse.strategies import run_concatenation, run_pf_concat, run_post_fusion
+from ragfuse.strategies import Strategy, run_strategy
 
 QUESTION = make_question("q1", "what is the capital of France", ("Paris",))
 PASSAGES = [make_passage(f"p{i}", f"filler text {i}") for i in range(3)]
@@ -89,7 +89,8 @@ def test_f1_symmetric_for_single_alias(a, b):
 def vote_trace(per_passage: list[str], gold: tuple[str, ...]):
     question = make_question("q1", "q text", gold)
     client = script_for({f"pf:{i}": text for i, text in enumerate(per_passage)})
-    return run_post_fusion(PASSAGES[: len(per_passage)], question, client), question
+    trace = run_strategy(Strategy.POST_FUSION, PASSAGES[: len(per_passage)], question, client)
+    return trace, question
 
 
 def test_score_trace_flags_no_match_events():
@@ -118,7 +119,7 @@ def test_score_trace_pool_without_gold_is_not_an_event():
 
 def test_score_trace_leaves_fields_undefined_without_vote():
     client = script_for({"concat": "paris"})
-    trace = run_concatenation(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client)
     record = score_trace(trace, QUESTION)
     assert record.em == 1 and record.f1 == 1.0
     assert record.pool_contains_gold is None
@@ -129,7 +130,7 @@ def test_score_trace_leaves_fields_undefined_without_vote():
 
 def test_score_trace_pf_concat_never_defines_nm():
     client = script_for({"pf:0": "paris", "pf:1": "london", "pf:2": "paris", "distill": "london"})
-    trace = run_pf_concat(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, client)
     record = score_trace(trace, QUESTION)
     assert record.em == 0
     assert record.pool_contains_gold is None
@@ -138,14 +139,14 @@ def test_score_trace_pf_concat_never_defines_nm():
 
 def test_score_trace_unknown_scores_zero():
     client = script_for({"concat": "unknown"})
-    trace = run_concatenation(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client)
     record = score_trace(trace, QUESTION)
     assert (record.em, record.f1, record.is_unknown) == (0, 0.0, True)
 
 
 def test_score_trace_rejects_mismatched_question():
     client = script_for({"concat": "paris"})
-    trace = run_concatenation(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client)
     with pytest.raises(ValueError, match="trace is for question"):
         score_trace(trace, make_question("q2", "other", ("x",)))
 

@@ -17,13 +17,7 @@ from ragfuse.strategies import (
     Strategy,
     filter_dataset,
     majority_vote,
-    run_concat_pf,
-    run_concatenation,
-    run_pf_concat,
-    run_post_fusion,
-    run_pruning,
     run_strategy,
-    run_summary,
     send_ahead,
 )
 
@@ -91,7 +85,7 @@ def test_vote_rejects_length_mismatch():
 
 def test_concatenation_with_rule_backend():
     client = RuleClient([QUESTION])
-    trace = run_concatenation(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client)
     assert trace.final == Answer.of("Paris")
     assert trace.strategy is Strategy.CONCAT
     assert len(trace.exchanges) == 1
@@ -104,12 +98,12 @@ def test_concatenation_with_rule_backend():
 
 
 def test_concatenation_miss_is_unknown():
-    trace = run_concatenation(MISS_PASSAGES, QUESTION, RuleClient([QUESTION]))
+    trace = run_strategy(Strategy.CONCAT, MISS_PASSAGES, QUESTION, RuleClient([QUESTION]))
     assert trace.final.is_unknown
 
 
 def test_concatenation_scripted_unknown():
-    trace = run_concatenation(PASSAGES, QUESTION, script_for({"concat": "unknown"}))
+    trace = run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, script_for({"concat": "unknown"}))
     assert trace.final.is_unknown
 
 
@@ -118,7 +112,7 @@ def test_post_fusion_votes_over_per_passage_answers():
         {"pf:0": "a", "pf:1": "b", "pf:2": "a", "pf:3": "unknown", "pf:4": "a"}
     )
     passages = [make_passage(f"p{i}", f"text {i}") for i in range(5)]
-    trace = run_post_fusion(passages, QUESTION, client)
+    trace = run_strategy(Strategy.POST_FUSION, passages, QUESTION, client)
     assert trace.final == Answer.of("a")
     assert len(trace.exchanges) == 5
     assert [e.exchange_key for e in trace.exchanges] == [f"pf:{i}" for i in range(5)]
@@ -128,7 +122,7 @@ def test_post_fusion_votes_over_per_passage_answers():
 
 def test_post_fusion_all_unknown_is_unknown():
     client = script_for({"pf:0": "unknown", "pf:1": "unknown"})
-    trace = run_post_fusion(PASSAGES[:2], QUESTION, client)
+    trace = run_strategy(Strategy.POST_FUSION, PASSAGES[:2], QUESTION, client)
     assert trace.final.is_unknown
     assert trace.finalized_by_vote
 
@@ -137,8 +131,8 @@ def test_pruning_and_summary_extract_final_answer_line():
     client = script_for(
         {"pruning": "Irrelevant passages: 1, 3\nAnswer: x", "summary": "Summary: s.\nAnswer: y"}
     )
-    pruning = run_pruning(PASSAGES, QUESTION, client)
-    summary = run_summary(PASSAGES, QUESTION, client)
+    pruning = run_strategy(Strategy.PRUNING, PASSAGES, QUESTION, client)
+    summary = run_strategy(Strategy.SUMMARY, PASSAGES, QUESTION, client)
     assert pruning.final == Answer.of("x")
     assert summary.final == Answer.of("y")
     assert len(pruning.exchanges) == len(summary.exchanges) == 1
@@ -147,13 +141,13 @@ def test_pruning_and_summary_extract_final_answer_line():
 
 
 def test_pruning_unknown_response():
-    trace = run_pruning(PASSAGES, QUESTION, script_for({"pruning": "unknown"}))
+    trace = run_strategy(Strategy.PRUNING, PASSAGES, QUESTION, script_for({"pruning": "unknown"}))
     assert trace.final.is_unknown
 
 
 def test_concat_pf_keeps_concat_answer_without_fallback():
     client = script_for({"concat": "paris"})
-    trace = run_concat_pf(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.CONCAT_PF, PASSAGES, QUESTION, client)
     assert trace.final == Answer.of("paris")
     assert trace.rounds_used == 1
     assert len(trace.exchanges) == 1
@@ -163,7 +157,7 @@ def test_concat_pf_keeps_concat_answer_without_fallback():
 
 def test_concat_pf_falls_back_to_post_fusion_on_unknown():
     client = script_for({"concat": "unknown", "pf:0": "x", "pf:1": "x", "pf:2": "y"})
-    trace = run_concat_pf(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.CONCAT_PF, PASSAGES, QUESTION, client)
     assert trace.final == Answer.of("x")
     assert trace.rounds_used == 2
     assert len(trace.exchanges) == 1 + 3
@@ -175,14 +169,14 @@ def test_concat_pf_all_unknown_stays_unknown():
     client = script_for(
         {"concat": "unknown", "pf:0": "unknown", "pf:1": "unknown", "pf:2": "unknown"}
     )
-    trace = run_concat_pf(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.CONCAT_PF, PASSAGES, QUESTION, client)
     assert trace.final.is_unknown
     assert trace.rounds_used == 2
 
 
 def test_pf_concat_filters_unknown_passages_from_distill():
     client = script_for({"pf:0": "unknown", "pf:1": "a", "pf:2": "b", "distill": "a"})
-    trace = run_pf_concat(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, client)
     assert trace.final == Answer.of("a")
     assert trace.rounds_used == 2
     assert len(trace.exchanges) == 3 + 1
@@ -197,7 +191,7 @@ def test_pf_concat_filters_unknown_passages_from_distill():
 
 def test_pf_concat_all_unknown_short_circuits():
     client = script_for({"pf:0": "unknown", "pf:1": "unknown", "pf:2": "unknown"})
-    trace = run_pf_concat(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, client)
     assert trace.final.is_unknown
     assert trace.rounds_used == 1
     assert len(trace.exchanges) == 3  # no distill call
@@ -206,14 +200,14 @@ def test_pf_concat_all_unknown_short_circuits():
 
 def test_pf_concat_deduplicates_candidates():
     client = script_for({"pf:0": "a", "pf:1": "a", "pf:2": "a", "distill": "a"})
-    trace = run_pf_concat(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, client)
     assert trace.candidate_pool == ("a",)
     assert trace.final == Answer.of("a")
 
 
 def test_pf_concat_single_survivor_still_distills():
     client = script_for({"pf:0": "unknown", "pf:1": "only", "pf:2": "unknown", "distill": "only"})
-    trace = run_pf_concat(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, client)
     assert trace.rounds_used == 2
     assert len(trace.exchanges) == 4
     assert trace.candidate_pool == ("only",)
@@ -221,16 +215,16 @@ def test_pf_concat_single_survivor_still_distills():
 
 def test_pf_concat_flags_off_pool_selections():
     client = script_for({"pf:0": "a", "pf:1": "b", "pf:2": "a", "distill": "c"})
-    trace = run_pf_concat(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, client)
     assert trace.final == Answer.of("c")
     assert trace.off_pool
     # surface variants of a pool candidate are not off-pool
     variant = script_for({"pf:0": "The Nile", "pf:1": "b", "pf:2": "a", "distill": "nile!"})
-    trace = run_pf_concat(PASSAGES, QUESTION, variant)
+    trace = run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, variant)
     assert not trace.off_pool
     # an unknown distill response is not off-pool either
     unknown = script_for({"pf:0": "a", "pf:1": "b", "pf:2": "a", "distill": "unknown"})
-    trace = run_pf_concat(PASSAGES, QUESTION, unknown)
+    trace = run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, unknown)
     assert trace.final.is_unknown and not trace.off_pool
 
 
@@ -239,18 +233,18 @@ def test_exchange_counts_per_strategy():
     entries = {"concat": "unknown", "pruning": "p", "summary": "s", "distill": "d"}
     entries.update({f"pf:{i}": "x" for i in range(k)})
     client = script_for(entries)
-    assert len(run_concatenation(PASSAGES, QUESTION, client).exchanges) == 1
-    assert len(run_post_fusion(PASSAGES, QUESTION, client).exchanges) == k
-    assert len(run_pruning(PASSAGES, QUESTION, client).exchanges) == 1
-    assert len(run_summary(PASSAGES, QUESTION, client).exchanges) == 1
-    assert len(run_concat_pf(PASSAGES, QUESTION, client).exchanges) == 1 + k
-    assert len(run_pf_concat(PASSAGES, QUESTION, client).exchanges) == k + 1
+    assert len(run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client).exchanges) == 1
+    assert len(run_strategy(Strategy.POST_FUSION, PASSAGES, QUESTION, client).exchanges) == k
+    assert len(run_strategy(Strategy.PRUNING, PASSAGES, QUESTION, client).exchanges) == 1
+    assert len(run_strategy(Strategy.SUMMARY, PASSAGES, QUESTION, client).exchanges) == 1
+    assert len(run_strategy(Strategy.CONCAT_PF, PASSAGES, QUESTION, client).exchanges) == 1 + k
+    assert len(run_strategy(Strategy.PF_CONCAT, PASSAGES, QUESTION, client).exchanges) == k + 1
 
 
 def test_trace_token_totals_match_exchanges_and_backend():
     client = RuleClient([QUESTION])
     reached = spy_backend(client)
-    trace = run_post_fusion(PASSAGES, QUESTION, client)
+    trace = run_strategy(Strategy.POST_FUSION, PASSAGES, QUESTION, client)
     assert trace.prompt_tokens_total == sum(e.response.prompt_tokens for e in trace.exchanges)
     assert trace.completion_tokens_total == sum(
         e.response.completion_tokens for e in trace.exchanges
@@ -269,21 +263,21 @@ def test_strategies_are_deterministic():
 
 def test_strategies_require_passages():
     with pytest.raises(ValueError):
-        run_concatenation([], QUESTION, RuleClient([QUESTION]))
+        run_strategy(Strategy.CONCAT, [], QUESTION, RuleClient([QUESTION]))
     with pytest.raises(ValueError):
-        run_pf_concat([], QUESTION, RuleClient([QUESTION]))
+        run_strategy(Strategy.PF_CONCAT, [], QUESTION, RuleClient([QUESTION]))
 
 
 def test_errors_name_the_question_and_exchange():
     client = ScriptClient({})
     with pytest.raises(ScriptError, match=r"question q1 \(concat\)"):
-        run_concatenation(PASSAGES, QUESTION, client)
+        run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client)
     # after a memo hit, a failing call still names its exchange and is not memoized
     client = script_for({"concat": "unknown", "pf:0": "x"})
     memo = {}
-    run_concatenation(PASSAGES, QUESTION, client, memo=memo)
+    run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client, memo=memo)
     with pytest.raises(ScriptError, match=r"question q1 \(pf:1\)"):
-        run_concat_pf(PASSAGES, QUESTION, client, memo=memo)
+        run_strategy(Strategy.CONCAT_PF, PASSAGES, QUESTION, client, memo=memo)
     (bucket,) = memo.values()
     assert sorted(exchange.exchange_key for exchange, _ in bucket.values()) == ["concat", "pf:0"]
 
@@ -298,7 +292,7 @@ def test_run_strategy_dispatches_every_member():
 
 def test_max_response_tokens_reaches_requests():
     client = RuleClient([QUESTION])
-    trace = run_concatenation(PASSAGES, QUESTION, client, max_response_tokens=7)
+    trace = run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client, max_response_tokens=7)
     assert trace.exchanges[0].request.max_response_tokens == 7
 
 
@@ -492,13 +486,14 @@ def test_a_failed_call_sent_ahead_is_raised_where_a_strategy_reaches_it():
     memo = send_ahead(list(Strategy), PASSAGES, QUESTION, client, now)
     # every first-round call went out, the ones after the failed pf:1 too
     assert len(reached) == len(PASSAGES) + 3
-    assert run_concatenation(PASSAGES, QUESTION, client, memo=memo).final == Answer.of("Paris")
+    trace = run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client, memo=memo)
+    assert trace.final == Answer.of("Paris")
     for _ in range(2):  # raised as a call made in turn raises it, once prefixed
         with pytest.raises(ScriptError) as raised:
-            run_post_fusion(PASSAGES, QUESTION, client, memo=memo)
+            run_strategy(Strategy.POST_FUSION, PASSAGES, QUESTION, client, memo=memo)
         assert str(raised.value) == "question q1 (pf:1): no scripted response for question 'q1', exchange 'pf:1'"
     with pytest.raises(ScriptError, match=r"^question q1 \(summary\)"):
-        run_summary(PASSAGES, QUESTION, client, memo=memo)
+        run_strategy(Strategy.SUMMARY, PASSAGES, QUESTION, client, memo=memo)
     assert len(reached) == len(PASSAGES) + 3
 
 
@@ -510,7 +505,7 @@ def test_a_failed_call_with_an_errno_is_raised_prefixed_from_the_original():
 
     client = LiveClient(endpoint="http://example.invalid/v1", model="m", transport=transport)
     with pytest.raises(OSError) as raised:
-        run_concatenation(PASSAGES, QUESTION, client)
+        run_strategy(Strategy.CONCAT, PASSAGES, QUESTION, client)
     assert str(raised.value) == "question q1 (concat): [Errno 104] Connection reset by peer"
     assert raised.value.__cause__ is reset
 
