@@ -38,7 +38,6 @@ from .llm import (
 from .prompts import (
     UNKNOWN,
     Answer,
-    PromptKind,
     UnknownPolicy,
     classify_response,
     render_closed_book,

@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Iterator, Sequence, get_args, get_type_hi
 import yaml
 
 from .corpus import (
-    CorpusError,
     Passage,
     Question,
     _fits,
@@ -153,8 +152,8 @@ class RunConfig(RetrievalConfig):
             if not self.endpoint or not self.model:
                 raise ValueError("live backend needs both endpoint and model")
             check_endpoint(self.endpoint)
+            check_live_settings(self.timeout, self.max_in_flight)
         check_max_response_tokens(self.max_response_tokens)
-        check_live_settings(self.timeout, self.max_in_flight)
         self.policy()  # UnknownPolicy rejects a blank sentinel or pattern
 
 
@@ -257,7 +256,7 @@ _REPORT_COLUMNS = tuple(f.name for f in fields(StrategyReport))
 
 def _exchange_to_dict(exchange: Exchange) -> dict:
     return {
-        "kind": exchange.kind.value,
+        "kind": exchange.kind,
         "exchange_key": exchange.exchange_key,
         "prompt": exchange.request.prompt_text,
         "response": exchange.response.text,
@@ -359,10 +358,7 @@ def _rank(
     if config.rankings is None:
         terms = {term for question in questions for term in tokenize(question.text)}
         index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b, terms=terms)
-        return {
-            q.question_id: retrieve_top_k(index, q.text, config.k, question_id=q.question_id)
-            for q in questions
-        }
+        return {q.question_id: retrieve_top_k(index, q.text, config.k) for q in questions}
     rankings = load_rankings(config.rankings)
     ranked = {}
     for question in questions:
@@ -549,8 +545,8 @@ def _write_run_outputs(
 def cmd_run(config: RunConfig) -> dict[str, EvalReport]:
     """Run every configured strategy; a sweep runs three modes over one load."""
     config.validate("run")
-    # Chunked as loaded: no Document outlives chunking, so the index build and
-    # the whole run hold only the passages.
+    # No Document outlives chunking: the index build and the whole run hold
+    # only the passages.
     passages = chunk_corpus(load_corpus(config.corpus), config.max_passage_words)
     questions = _load_scorable_questions(config)
     by_id = {p.passage_id: p for p in passages}
@@ -646,15 +642,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # devnull so that the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (
-        CorpusError,
-        ValueError,
-        OSError,
-        BudgetError,
-        TransportError,
-        ScriptError,
-        RuleError,
-    ) as exc:
+    except (ValueError, OSError, BudgetError, TransportError, ScriptError, RuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,22 +10,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .corpus import Passage, Question
 
 TEMPLATE_VERSION = "1"
 
 DEFAULT_SENTINEL = "unknown"
-
-
-class PromptKind(str, Enum):
-    CLOSED_BOOK = "closed_book"
-    CONCATENATION = "concat"
-    POST_FUSION_SINGLE = "post_fusion_single"
-    PRUNING = "pruning"
-    SUMMARY = "summary"
-    DISTILL = "distill"
 
 
 def normalize_reply(text: str) -> str:

@@ -9,7 +9,7 @@ import random
 import sys
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -71,7 +71,6 @@ class RetrievalConfig:
 
 @dataclass(frozen=True)
 class RankedList:
-    question_id: str
     entries: tuple[tuple[str, float], ...]
 
     def passage_ids(self) -> list[str]:
@@ -197,7 +196,7 @@ def build_index(
     return Bm25Index(passages, k1=k1, b=b, terms=terms)
 
 
-def retrieve_top_k(index: Bm25Index, query: str, k: int, question_id: str = "") -> RankedList:
+def retrieve_top_k(index: Bm25Index, query: str, k: int) -> RankedList:
     """Return the k highest-scoring passages, score-descending.
 
     All passages are rankable (zero-score passages included); ties break by
@@ -217,7 +216,7 @@ def retrieve_top_k(index: Bm25Index, query: str, k: int, question_id: str = "") 
         if slot not in scored:
             entries.append((ids[slot], 0.0))
         slot += 1
-    return RankedList(question_id=question_id, entries=tuple(entries))
+    return RankedList(tuple(entries))
 
 
 def apply_gold_placement(
@@ -252,25 +251,22 @@ def apply_gold_placement(
         if mode in (PlacementMode.RETRIEVAL_ORDER, PlacementMode.GOLD_RANDOM):
             return ranked
         gold_entry = entries.pop(present[0])
-        if mode is PlacementMode.GOLD_TOP:
-            entries.insert(0, gold_entry)
-        else:
-            entries.append(gold_entry)
-        return replace(ranked, entries=tuple(entries))
-
-    if len(entries) >= config.k:
-        entries.pop()
+    else:
+        gold_entry = (gold_id, 0.0)
+        if len(entries) >= config.k:
+            entries.pop()
     if mode is PlacementMode.GOLD_TOP:
         position = 0
     elif mode is PlacementMode.GOLD_BOTTOM:
         position = len(entries)
     else:
-        # RETRIEVAL_ORDER and GOLD_RANDOM insert at a seed-deterministic
-        # uniform position; the per-question RNG keeps reruns identical.
+        # Only an absent gold passage gets here in RETRIEVAL_ORDER or
+        # GOLD_RANDOM: a seed-deterministic uniform position, drawn per
+        # question so reruns are identical.
         rng = random.Random(f"{config.seed}:{question.question_id}")
         position = rng.randrange(len(entries) + 1)
-    entries.insert(position, (gold_id, 0.0))
-    return replace(ranked, entries=tuple(entries))
+    entries.insert(position, gold_entry)
+    return RankedList(tuple(entries))
 
 
 _RANKING_ROW = {"question_id": (str,), "ranked_passage_ids": (list,)}
@@ -298,4 +294,4 @@ def ranked_list_from_ids(question_id: str, passage_ids: list[str], k: int) -> Ra
     if len(set(top)) != len(top):
         raise ValueError(f"duplicate passage ids in ranking for question {question_id!r}")
     entries = tuple((pid, 1.0 / (i + 1)) for i, pid in enumerate(top))
-    return RankedList(question_id=question_id, entries=entries)
+    return RankedList(entries)

@@ -15,7 +15,6 @@ from .prompts import (
     DEFAULT_UNKNOWN_POLICY,
     UNKNOWN,
     Answer,
-    PromptKind,
     UnknownPolicy,
     classify_response,
     render_closed_book,
@@ -40,10 +39,15 @@ class Strategy(str, Enum):
 class Exchange:
     """One prompt/response round trip, keyed for scripted replay."""
 
-    kind: PromptKind
     exchange_key: str
     request: CompletionRequest
     response: CompletionResponse
+
+    @property
+    def kind(self) -> str:
+        """The prompt template: every ``pf:<rank>`` key is one passage's
+        post_fusion_single prompt; any other key names its own template."""
+        return "post_fusion_single" if self.exchange_key.startswith("pf:") else self.exchange_key
 
 
 @dataclass(frozen=True)
@@ -128,21 +132,17 @@ def _fetch(
     The renderers are looked up by their module names at call time; a
     wrapper rebound to those names (a profiler, a test double) then sees
     these calls too."""
-    inputs: tuple = (passages, question)
+    render, inputs = render_concatenation, (passages, question)
     if exchange_key.startswith("pf:"):
-        kind, render = PromptKind.POST_FUSION_SINGLE, render_post_fusion_single
-        inputs = (passages[int(exchange_key[3:])], question)
+        render, inputs = render_post_fusion_single, (passages[int(exchange_key[3:])], question)
     elif exchange_key == "closed_book":
-        kind, render, inputs = PromptKind.CLOSED_BOOK, render_closed_book, (question,)
+        render, inputs = render_closed_book, (question,)
     elif exchange_key == "distill":
-        kind, render = PromptKind.DISTILL, render_distill
-        inputs = (passages, question, list(candidates))
+        render, inputs = render_distill, (passages, question, list(candidates))
     elif exchange_key == "pruning":
-        kind, render = PromptKind.PRUNING, render_pruning
+        render = render_pruning
     elif exchange_key == "summary":
-        kind, render = PromptKind.SUMMARY, render_summary
-    else:
-        kind, render = PromptKind.CONCATENATION, render_concatenation
+        render = render_summary
     request = CompletionRequest(
         prompt_text=render(*inputs, sentinel=policy.sentinel),
         max_response_tokens=max_response_tokens,
@@ -158,7 +158,7 @@ def _fetch(
             raise OSError(f"{where}: {exc}") from exc
         exc.args = (f"{where}: {exc}",)
         raise
-    exchange = Exchange(kind, exchange_key, request, response)
+    exchange = Exchange(exchange_key, request, response)
     return exchange, classify_response(response.text, policy)
 
 

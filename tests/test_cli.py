@@ -234,7 +234,7 @@ def test_placement_and_seed_flags_reach_the_gold_placement(tmp_path, toy_index, 
     placement = RetrievalConfig(k=3, placement="gold_random", seed=7)
     expected = {
         q.question_id: apply_gold_placement(
-            retrieve_top_k(toy_index, q.text, 3, question_id=q.question_id), q, placement
+            retrieve_top_k(toy_index, q.text, 3), q, placement
         ).passage_ids()
         for q in toy_questions
     }
@@ -273,10 +273,13 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
     with pytest.raises(ValueError, match="workers"):
         config.validate("run")
     config.workers = 1
+    # Only a live run reads max_in_flight and timeout, so only it checks them.
+    config.backend, config.endpoint, config.model = "live", _LIVE["endpoint"], _LIVE["model"]
     config.max_in_flight = 0
     with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
         config.validate("run")
     config.max_in_flight = 4
+    config.backend = "rule"
     for sentinel in ("", "?", " ... "):
         config.unknown_sentinel = sentinel
         with pytest.raises(ValueError, match="unknown_sentinel must be non-empty"):
@@ -291,6 +294,7 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
     with pytest.raises(ValueError, match="nm_denominator"):
         config.validate("run")
     config.nm_denominator = "pool"
+    config.backend = "live"
     for timeout in (0, -1.0, math.nan, math.inf):
         config.timeout = timeout
         with pytest.raises(ValueError, match="timeout must be > 0"):
@@ -303,6 +307,7 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
     config.timeout = threading.TIMEOUT_MAX
     config.validate("run")
     config.timeout = 60.0
+    config.backend = "rule"
     # 10**400 is an int that no float holds.
     for k1 in (-0.5, math.nan, math.inf, 10**400):
         config.bm25_k1 = k1
@@ -321,6 +326,9 @@ def test_validate_checks_files_backends_and_ranges(tmp_path):
         ("bm25_k1", math.inf, "bm25_k1 must be finite and >= 0, got inf"),
         ("timeout", math.nan, "timeout must be > 0 and finite, got nan"),
         ("timeout", math.inf, "timeout must be > 0 and finite, got inf"),
+        # Only a live backend reads these two; offline runs ignore them.
+        ("timeout", 0, "timeout must be > 0 and finite, got 0"),
+        ("max_in_flight", 0, "max_in_flight must be >= 1, got 0"),
         (
             "unknown_sentinel", "?",
             "unknown_sentinel must be non-empty once case, surrounding space and "
@@ -343,6 +351,32 @@ def test_main_rejects_an_unusable_config_value_before_any_call(
         assert main(["run", "--config", str(config_path)]) == 2
     assert not sent.called and not (tmp_path / "out").exists()
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "filter"])
+@pytest.mark.parametrize("key", ["max_in_flight", "timeout"])
+@pytest.mark.parametrize("backend", ["rule", "script"])
+def test_an_offline_backend_ignores_the_live_only_settings(
+    tmp_path, capsys, toy_questions, backend, key, command
+):
+    # Only LiveClient and the live sending pool read them; at 0 either used to
+    # end every offline run and filter with exit 2.
+    script = tmp_path / "script.jsonl"
+    script.write_text(
+        "".join(
+            json.dumps({"question_id": q.question_id, "exchange_key": exchange_key, "response": "x"})
+            + "\n"
+            for q in toy_questions
+            for exchange_key in ("concat", "closed_book")
+        ),
+        encoding="utf-8",
+    )
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", backend=backend,
+        script=script, **{key: 0},
+    )
+    assert main([command, "--config", str(config_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -387,7 +421,7 @@ def whole_row(trace: StrategyTrace) -> dict:
             return value.text
         if isinstance(value, Exchange):
             return {
-                "kind": value.kind.value,
+                "kind": value.kind,
                 "exchange_key": value.exchange_key,
                 "prompt": value.request.prompt_text,
                 "response": value.response.text,

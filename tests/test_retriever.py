@@ -1,7 +1,7 @@
 """Tests for BM25 indexing, top-k retrieval, and gold-passage placement."""
 
+import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -142,7 +142,7 @@ def ranked_fixture():
     index = build_index(
         [make_passage(f"p{i}", f"text number {i} about topic {i}") for i in range(8)]
     )
-    return retrieve_top_k(index, "topic 3 text", k=5, question_id="q")
+    return retrieve_top_k(index, "topic 3 text", k=5)
 
 
 def test_no_gold_mode_leaves_list_unchanged():
@@ -211,22 +211,6 @@ def test_absent_gold_random_insertion_is_seed_deterministic():
     assert len(positions) > 1  # the position actually varies with the seed
 
 
-def test_random_insertion_seeds_from_the_question_not_the_ranking():
-    # A ranking built without question_id= used to seed from "", so library
-    # callers placed gold where `ragfuse run` at the same seed did not.
-    named = ranked_fixture()
-    anonymous = replace(named, question_id="")
-    question = make_question("q", "x", ("y",), gold="p7")
-    assert "p7" not in named.passage_ids()
-    for mode in (PlacementMode.GOLD_RANDOM, PlacementMode.RETRIEVAL_ORDER):
-        for seed in range(40):
-            config = config_for(mode, seed=seed)
-            assert (
-                apply_gold_placement(anonymous, question, config).passage_ids()
-                == apply_gold_placement(named, question, config).passage_ids()
-            )
-
-
 def test_gold_placement_idempotent_for_top_and_bottom():
     ranked = ranked_fixture()
     question = make_question("q", "x", ("y",), gold="p7")
@@ -249,6 +233,53 @@ def test_gold_present_exactly_once_after_any_mode():
         for question in (present, absent):
             placed = apply_gold_placement(ranked, question, config_for(mode))
             assert placed.passage_ids().count(question.gold_passage_id) == 1
+
+
+def placement_reference(entries, gold, mode, k, seed, question_id):
+    """README's placement rule, written out on its own. A gold passage already
+    ranked keeps its score: it moves to the first or the last slot, and stays
+    put in retrieval order and gold_random. An absent one enters with score
+    0.0, evicting the last entry only when the ranking holds k, at the first
+    or last slot, or else at a position seeded by the seed and question id."""
+    if mode == "no_gold":
+        return entries
+    ids = [pid for pid, _ in entries]
+    if gold in ids:
+        if mode in ("retrieval_order", "gold_random"):
+            return entries
+        held = entries[ids.index(gold)]
+        others = [entry for entry in entries if entry[0] != gold]
+        return [held, *others] if mode == "gold_top" else [*others, held]
+    kept = entries[: k - 1] if len(entries) == k else entries
+    if mode == "gold_top":
+        return [(gold, 0.0), *kept]
+    if mode == "gold_bottom":
+        return [*kept, (gold, 0.0)]
+    slot = random.Random(f"{seed}:{question_id}").randrange(len(kept) + 1)
+    return [*kept[:slot], (gold, 0.0), *kept[slot:]]
+
+
+def test_gold_placement_matches_an_independent_reference():
+    cases = 0
+    for k, length in ((k, length) for k in range(1, 6) for length in range(k + 1)):
+        ranked = ranked_list_from_ids("q", [f"p{i}" for i in range(length)], k)
+        entries = list(ranked.entries)
+        # Gold absent, then gold at each index of the ranking.
+        golds = ["gold", *(pid for pid, _ in entries)]
+        for gold, question_id, mode, seed in itertools.product(
+            golds, ("q1", "question-2"), PlacementMode, range(10)
+        ):
+            cases += 1
+            question = make_question(question_id, "x", ("y",), gold=gold)
+            config = RetrievalConfig(k=k, placement=mode.value, seed=seed)
+            if not entries and mode is not PlacementMode.NO_GOLD:
+                with pytest.raises(ValueError, match="non-empty ranking"):
+                    apply_gold_placement(ranked, question, config)
+                continue
+            expected = placement_reference(entries, gold, mode.value, k, seed, question_id)
+            placed = apply_gold_placement(ranked, question, config).entries
+            assert list(placed) == expected, (k, entries, gold, question_id, mode, seed)
+    assert cases == 5500
 
 
 def test_retrieval_config_validation():

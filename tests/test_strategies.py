@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import ragfuse.strategies as strategies
 from conftest import make_passage, make_question, spy_backend
 from ragfuse.llm import LiveClient, RuleClient, ScriptClient, ScriptError, count_tokens
-from ragfuse.prompts import UNKNOWN, Answer, PromptKind, classify_response, extract_task
+from ragfuse.prompts import UNKNOWN, Answer, classify_response, extract_task
 from ragfuse.retriever import retrieve_top_k
 from ragfuse.strategies import (
     Strategy,
@@ -89,7 +89,7 @@ def test_concatenation_with_rule_backend():
     assert trace.final == Answer.of("Paris")
     assert trace.strategy is Strategy.CONCAT
     assert len(trace.exchanges) == 1
-    assert trace.exchanges[0].kind is PromptKind.CONCATENATION
+    assert trace.exchanges[0].kind == "concat"
     assert trace.exchanges[0].exchange_key == "concat"
     assert trace.rounds_used == 1
     assert not trace.finalized_by_vote
@@ -136,8 +136,8 @@ def test_pruning_and_summary_extract_final_answer_line():
     assert pruning.final == Answer.of("x")
     assert summary.final == Answer.of("y")
     assert len(pruning.exchanges) == len(summary.exchanges) == 1
-    assert pruning.exchanges[0].kind is PromptKind.PRUNING
-    assert summary.exchanges[0].kind is PromptKind.SUMMARY
+    assert pruning.exchanges[0].kind == "pruning"
+    assert summary.exchanges[0].kind == "summary"
 
 
 def test_pruning_unknown_response():
@@ -181,7 +181,7 @@ def test_pf_concat_filters_unknown_passages_from_distill():
     assert trace.rounds_used == 2
     assert len(trace.exchanges) == 3 + 1
     distill = trace.exchanges[-1]
-    assert distill.kind is PromptKind.DISTILL
+    assert distill.kind == "distill"
     task = extract_task(distill.request.prompt_text)
     assert task.passages == tuple(f"{p.title}. {p.text}" for p in PASSAGES[1:])
     assert task.candidates == ("a", "b")
@@ -299,7 +299,7 @@ def test_max_response_tokens_reaches_requests():
 def test_a_shared_memo_leaves_every_toy_trace_unchanged(toy_questions, toy_passages, toy_index):
     by_id = {p.passage_id: p for p in toy_passages}
     for question in toy_questions:
-        ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
+        ranked = retrieve_top_k(toy_index, question.text, 3)
         passages = [by_id[pid] for pid in ranked.passage_ids()]
         client = RuleClient(toy_questions)
         reached = spy_backend(client)
@@ -326,7 +326,7 @@ def test_a_memo_hit_reuses_the_exchange_and_its_classification(
     by_id = {p.passage_id: p for p in toy_passages}
     client = RuleClient(toy_questions)
     for question in toy_questions:
-        ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
+        ranked = retrieve_top_k(toy_index, question.text, 3)
         passages = [by_id[pid] for pid in ranked.passage_ids()]
         classified.clear()
         memo = {}
@@ -363,7 +363,7 @@ def test_a_shared_memo_renders_each_distinct_request_once(
         monkeypatch.setattr(strategies, name, counted(getattr(strategies, name)))
     by_id = {p.passage_id: p for p in toy_passages}
     for question in toy_questions:
-        ranked = retrieve_top_k(toy_index, question.text, 3, question_id=question.question_id)
+        ranked = retrieve_top_k(toy_index, question.text, 3)
         passages = [by_id[pid] for pid in ranked.passage_ids()]
         client = RuleClient(toy_questions)
         reached = spy_backend(client)
