@@ -21,7 +21,6 @@ from .evaluation import (
     score_trace,
 )
 from .llm import (
-    Backend,
     BudgetError,
     CompletionRequest,
     CompletionResponse,

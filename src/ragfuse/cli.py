@@ -35,7 +35,6 @@ from .evaluation import (
     score_trace,
 )
 from .llm import (
-    Backend,
     BudgetError,
     CompletionClient,
     LiveClient,
@@ -69,7 +68,7 @@ from .retriever import (
 )
 from .strategies import Exchange, Strategy, StrategyTrace, filter_dataset, run_strategy, send_ahead
 
-_BACKENDS = tuple(backend.value for backend in Backend)
+_BACKENDS = ("rule", "script", "live")
 _SWEEP = "sweep"
 _SWEEP_MODES = (PlacementMode.RETRIEVAL_ORDER, PlacementMode.GOLD_TOP, PlacementMode.GOLD_BOTTOM)
 _PLACEMENTS = (*(mode.value for mode in PlacementMode), _SWEEP)
@@ -212,19 +211,22 @@ def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def make_client(config: RunConfig, questions: Sequence[Question]) -> CompletionClient:
     """Build the completion client selected by config.backend."""
-    budget = config.model_input_budget
+    limits = {
+        "max_prompt_tokens": config.model_input_budget,
+        "max_response_tokens": config.max_response_tokens,
+    }
     if config.backend == "rule":
-        return RuleClient(questions, sentinel=config.unknown_sentinel, max_prompt_tokens=budget)
+        return RuleClient(questions, sentinel=config.unknown_sentinel, **limits)
     if config.backend == "script":
-        return ScriptClient(load_script(config.script), max_prompt_tokens=budget)
+        return ScriptClient(load_script(config.script), **limits)
     return LiveClient(
         endpoint=config.endpoint,
         model=config.model,
         api_key=os.environ.get(config.api_key_env),
         timeout=config.timeout,
         max_in_flight=config.max_in_flight,
-        max_prompt_tokens=budget,
         cache=ResponseCache(config.cache) if config.cache is not None else None,
+        **limits,
     )
 
 
@@ -254,15 +256,16 @@ _RECORD_TYPES = {name: _value_types(hint) for name, hint in get_type_hints(EvalR
 _REPORT_COLUMNS = tuple(f.name for f in fields(StrategyReport))
 
 
-def _exchange_to_dict(exchange: Exchange) -> dict:
+def _exchange_to_dict(exchange: Exchange, row_id: int, backend: str) -> dict:
     return {
+        "id": row_id,
         "kind": exchange.kind,
         "exchange_key": exchange.exchange_key,
         "prompt": exchange.request.prompt_text,
         "response": exchange.response.text,
         "prompt_tokens": exchange.response.prompt_tokens,
         "completion_tokens": exchange.response.completion_tokens,
-        "backend": exchange.response.backend.value,
+        "backend": backend,
     }
 
 
@@ -330,9 +333,7 @@ def cmd_filter(config: RunConfig) -> tuple[list[Question], list[Question]]:
     config.validate("filter")
     questions = _load_scorable_questions(config)
     client = make_client(config, questions)
-    kept, removed = filter_dataset(
-        questions, client, policy=config.policy(), max_response_tokens=config.max_response_tokens
-    )
+    kept, removed = filter_dataset(questions, client, policy=config.policy())
     config.out.mkdir(parents=True, exist_ok=True)
     for name, half in (("kept.jsonl", kept), ("removed.jsonl", removed)):
         with (config.out / name).open("w", encoding="utf-8") as handle:
@@ -353,8 +354,9 @@ def _rank(
     config: RunConfig, questions: Sequence[Question], passages: list[Passage],
     by_id: dict[str, Passage],
 ) -> dict[str, RankedList]:
-    """Each question's top k by id, from the rankings file (ids checked against the
-    corpus) or a BM25 index; the index, or the file's full lists, is freed on return."""
+    """Each question's top k by id, from the rankings file (each list non-empty,
+    its ids checked against the corpus) or a BM25 index; the index, or the
+    file's full lists, is freed on return."""
     if config.rankings is None:
         terms = {term for question in questions for term in tokenize(question.text)}
         index = build_index(passages, k1=config.bm25_k1, b=config.bm25_b, terms=terms)
@@ -365,6 +367,8 @@ def _rank(
         qid = question.question_id
         if qid not in rankings:
             raise ValueError(f"no precomputed ranking for question {qid!r}")
+        if not rankings[qid]:  # no passage to place gold in, or to prompt with
+            raise ValueError(f"question {qid!r} needs a non-empty ranking, got an empty list")
         ranked[qid] = ranked_list_from_ids(qid, rankings[qid], config.k)
         for pid in ranked[qid].passage_ids():
             if pid not in by_id:
@@ -400,20 +404,11 @@ def _run_single(
         # One memo per question: its strategies repeat each other's calls.
         # Only this thread reads or writes it, so it needs no lock.
         memo = {} if sending is None else send_ahead(
-            config.strategies, selected, question, client, sending.submit,
-            policy=policy, max_response_tokens=config.max_response_tokens,
+            config.strategies, selected, question, client, sending.submit, policy=policy
         )
         results = []
         for strategy in config.strategies:
-            trace = run_strategy(
-                strategy,
-                selected,
-                question,
-                client,
-                policy=policy,
-                max_response_tokens=config.max_response_tokens,
-                memo=memo,
-            )
+            trace = run_strategy(strategy, selected, question, client, policy=policy, memo=memo)
             results.append((trace, score_trace(trace, question)))
         # Keyed by id(): a request's exchange is one object wherever it is
         # used, and a key keeps the place where it was first inserted.
@@ -446,7 +441,8 @@ def _run_single(
                 exchange_ids = {}
                 for row_id, exchange in enumerate(exchanges, start=rows):
                     exchange_ids[id(exchange)] = row_id
-                    exchanges_file.write(_json_line({"id": row_id, **_exchange_to_dict(exchange)}))
+                    row = _exchange_to_dict(exchange, row_id, config.backend)
+                    exchanges_file.write(_json_line(row))
                     response = exchange.response
                     _tally(usage["billed"], 1, response.prompt_tokens, response.completion_tokens)
                 rows += len(exchanges)
@@ -462,8 +458,8 @@ def _run_single(
                         (record.strategy, record.question_id, len(trace.exchanges),
                          record.prompt_tokens_total, record.completion_tokens_total)
                     )
-        except Exception as exc:
-            status, error_text = "failed", str(exc)
+        except BaseException as exc:  # an interrupt fails the run too
+            status, error_text = "failed", str(exc) or type(exc).__name__
             raise
         finally:
             # Queued questions never start; running ones finish, so no worker

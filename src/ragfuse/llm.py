@@ -8,18 +8,11 @@ import threading
 import time
 import urllib.parse  # pathlib imports it too, so it costs an offline run nothing
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from .corpus import CorpusError, Question, check_row, read_rows
 from .prompts import DEFAULT_SENTINEL, extract_task
-
-
-class Backend(str, Enum):
-    RULE = "rule"
-    SCRIPT = "script"
-    LIVE = "live"
 
 
 class BudgetError(RuntimeError):
@@ -78,7 +71,6 @@ class CompletionRequest:
     """One prompt plus routing metadata (mock backends key on the metadata)."""
 
     prompt_text: str
-    max_response_tokens: int = 64
     question_id: str | None = None
     exchange_key: str | None = None
 
@@ -88,21 +80,22 @@ class CompletionResponse:
     text: str
     prompt_tokens: int
     completion_tokens: int
-    backend: Backend
 
 
 class CompletionClient:
-    """Base class handling budget checks and token counts."""
+    """Base class handling budget checks and token counts. A client holds the
+    run's prompt budget and reply cap; the cap is checked once, here."""
 
-    backend: Backend
-
-    def __init__(self, max_prompt_tokens: int | None = None) -> None:
+    def __init__(
+        self, max_prompt_tokens: int | None = None, max_response_tokens: int = 64
+    ) -> None:
+        check_max_response_tokens(max_response_tokens)
         self.max_prompt_tokens = max_prompt_tokens
+        self.max_response_tokens = max_response_tokens
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         if not request.prompt_text.strip():
             raise ValueError("prompt_text must be non-empty")
-        check_max_response_tokens(request.max_response_tokens)
         prompt_tokens = count_tokens(request.prompt_text)
         if self.max_prompt_tokens is not None and prompt_tokens > self.max_prompt_tokens:
             raise BudgetError(
@@ -116,7 +109,6 @@ class CompletionClient:
             completion_tokens=(
                 reported_completion if reported_completion is not None else count_tokens(text)
             ),
-            backend=self.backend,
         )
 
     def _respond(self, request: CompletionRequest) -> tuple[str, int | None, int | None]:
@@ -129,15 +121,14 @@ class RuleClient(CompletionClient):
     The question is found by the request's question_id, or, for a request
     without one, by the prompt's question line."""
 
-    backend = Backend.RULE
-
     def __init__(
         self,
         questions: Iterable[Question],
         sentinel: str = DEFAULT_SENTINEL,
         max_prompt_tokens: int | None = None,
+        max_response_tokens: int = 64,
     ) -> None:
-        super().__init__(max_prompt_tokens)
+        super().__init__(max_prompt_tokens, max_response_tokens)
         self.sentinel = sentinel
         self._by_id: dict[str, Question] = {}
         # None marks a text shared by questions with different gold answers.
@@ -172,14 +163,13 @@ class RuleClient(CompletionClient):
 class ScriptClient(CompletionClient):
     """Replay mock: responses looked up by (question_id, exchange_key)."""
 
-    backend = Backend.SCRIPT
-
     def __init__(
         self,
         script: Mapping[tuple[str, str], str],
         max_prompt_tokens: int | None = None,
+        max_response_tokens: int = 64,
     ) -> None:
-        super().__init__(max_prompt_tokens)
+        super().__init__(max_prompt_tokens, max_response_tokens)
         self._script = dict(script)
 
     def _respond(self, request: CompletionRequest) -> tuple[str, int | None, int | None]:
@@ -467,8 +457,6 @@ class LiveClient(CompletionClient):
     most max_in_flight calls run concurrently.
     """
 
-    backend = Backend.LIVE
-
     def __init__(
         self,
         endpoint: str,
@@ -477,11 +465,12 @@ class LiveClient(CompletionClient):
         timeout: float = 60.0,
         max_in_flight: int = 4,
         max_prompt_tokens: int | None = None,
+        max_response_tokens: int = 64,
         cache: ResponseCache | None = None,
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        super().__init__(max_prompt_tokens)
+        super().__init__(max_prompt_tokens, max_response_tokens)
         check_live_settings(timeout, max_in_flight)
         self.model = model
         self.cache = cache
@@ -494,7 +483,7 @@ class LiveClient(CompletionClient):
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt_text}],
             "temperature": 0.0,
-            "max_tokens": request.max_response_tokens,
+            "max_tokens": self.max_response_tokens,
         }
         cache_key = None
         if self.cache is not None:

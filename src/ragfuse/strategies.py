@@ -117,7 +117,6 @@ def _fetch(
     client: CompletionClient,
     question: Question,
     policy: UnknownPolicy,
-    max_response_tokens: int,
     passages: Sequence[Passage],
     exchange_key: str,
     candidates: tuple[str, ...] = (),
@@ -145,7 +144,6 @@ def _fetch(
         render = render_summary
     request = CompletionRequest(
         prompt_text=render(*inputs, sentinel=policy.sentinel),
-        max_response_tokens=max_response_tokens,
         question_id=question.question_id,
         exchange_key=exchange_key,
     )
@@ -169,8 +167,7 @@ def send_ahead(
     client: CompletionClient,
     submit: Callable[..., Future],
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-) -> dict[tuple, dict[str, Future]]:
+) -> dict[str, Future]:
     """Submit the first-round calls of the strategies on one question, and
     return at once a memo for run_strategy that holds their futures.
 
@@ -183,9 +180,8 @@ def send_ahead(
     """
     _require_passages(passages, question)
     keys = dict.fromkeys(key for s in strategies for key in _first_round(s, len(passages)))
-    fetch = partial(_fetch, client, question, policy, max_response_tokens, passages)
-    passage_ids = tuple(p.passage_id for p in passages)
-    return {(question.question_id, passage_ids): {key: submit(fetch, key) for key in keys}}
+    fetch = partial(_fetch, client, question, policy, passages)
+    return {key: submit(fetch, key) for key in keys}
 
 
 def run_strategy(
@@ -194,8 +190,7 @@ def run_strategy(
     question: Question,
     client: CompletionClient,
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
-    memo: dict[tuple, dict[str, tuple[Exchange, Answer] | Future]] | None = None,
+    memo: dict[str, tuple[Exchange, Answer] | Future] | None = None,
 ) -> StrategyTrace:
     """Run one strategy on one question's passages.
 
@@ -205,34 +200,30 @@ def run_strategy(
     concat call and falls back to the round on Unknown; pf_concat runs the
     round, then distills the surviving answers in one more call.
 
-    ``memo`` maps a question id and the ids of the strategy's passages to a
-    bucket, which maps an exchange key (``concat``, ``pf:3``, ``distill``,
-    ...) to the exchange that answered it and the answer classified from
-    it, or to a Future of the pair (see send_ahead). Within a bucket the key
-    alone fixes the request: distill's candidates follow from the pf answers
-    the same bucket holds. A prompt is rendered and sent only when the
-    bucket lacks its key; a hit renders nothing, calls no client, classifies
-    nothing, and its trace records that same Exchange object. A hit on a
-    Future waits for it and raises the call's failure; a call that fails
-    here is not memoized. Passing one memo to all
-    strategies of a question sends each distinct request once: concat_pf
-    repeats the concat request, and concat_pf and pf_concat repeat
-    post_fusion's per-passage calls. The key leaves out the policy and the
-    response cap, so share one memo only among calls with the same policy
-    and max_response_tokens. The trace records every exchange, memo hits
-    too, so its tokens are attributed, not billed.
+    ``memo`` belongs to one question, one passage list, one client and one
+    policy. It maps an exchange key (``concat``, ``pf:3``, ``distill``, ...)
+    to the exchange that answered it and the answer classified from it, or
+    to a Future of the pair (see send_ahead). The key alone fixes the
+    request: distill's candidates follow from the pf answers the same memo
+    holds. A prompt is rendered and sent only when the memo lacks its key; a
+    hit renders nothing, calls no client, classifies nothing, and its trace
+    records that same Exchange object. A hit on a Future waits for it and
+    raises the call's failure; a call that fails here is not memoized.
+    Passing one memo to all strategies of a question sends each distinct
+    request once: concat_pf repeats the concat request, and concat_pf and
+    pf_concat repeat post_fusion's per-passage calls. The trace records
+    every exchange, memo hits too, so its tokens are attributed, not billed.
     """
     _require_passages(passages, question)
     passages = list(passages)
-    passage_ids = tuple(p.passage_id for p in passages)
-    bucket = {} if memo is None else memo.setdefault((question.question_id, passage_ids), {})
+    memo = {} if memo is None else memo
     exchanges: list[Exchange] = []
 
     def ask(exchange_key: str, given: list[Passage] = passages, candidates: tuple = ()) -> Answer:
-        held = bucket.get(exchange_key)
+        held = memo.get(exchange_key)
         if held is None:
-            held = bucket[exchange_key] = _fetch(
-                client, question, policy, max_response_tokens, given, exchange_key, candidates
+            held = memo[exchange_key] = _fetch(
+                client, question, policy, given, exchange_key, candidates
             )
         exchange, answer = held.result() if isinstance(held, Future) else held
         exchanges.append(exchange)
@@ -242,7 +233,7 @@ def run_strategy(
         return StrategyTrace(
             strategy=strategy,
             question_id=question.question_id,
-            passage_ids=passage_ids,
+            passage_ids=tuple(p.passage_id for p in passages),
             exchanges=tuple(exchanges),
             final=final,
             rounds_used=rounds_used,
@@ -291,7 +282,6 @@ def filter_dataset(
     questions: Sequence[Question],
     client: CompletionClient,
     policy: UnknownPolicy = DEFAULT_UNKNOWN_POLICY,
-    max_response_tokens: int = 64,
 ) -> tuple[list[Question], list[Question]]:
     """Split questions into (kept, removed) by a closed-book probe.
 
@@ -303,7 +293,7 @@ def filter_dataset(
     kept: list[Question] = []
     removed: list[Question] = []
     for question in questions:
-        _, answer = _fetch(client, question, policy, max_response_tokens, (), "closed_book")
+        _, answer = _fetch(client, question, policy, (), "closed_book")
         if not answer.is_unknown and exact_match(answer.text, question.gold_answers) == 1:
             removed.append(question)
         else:

@@ -412,9 +412,10 @@ def _dumps(row: dict) -> str:
     return json.dumps(row, sort_keys=True, ensure_ascii=False)
 
 
-def whole_row(trace: StrategyTrace) -> dict:
+def whole_row(trace: StrategyTrace, backend: str) -> dict:
     """The trace as one self-contained row: every field, an Answer as its
-    text, an exchange as its kind, key, prompt, reply, tokens and backend."""
+    text, an exchange as its kind, key, prompt, reply, tokens and the run's
+    backend."""
 
     def plain(value):
         if isinstance(value, Answer):
@@ -427,7 +428,7 @@ def whole_row(trace: StrategyTrace) -> dict:
                 "response": value.response.text,
                 "prompt_tokens": value.response.prompt_tokens,
                 "completion_tokens": value.response.completion_tokens,
-                "backend": value.response.backend.value,
+                "backend": backend,
             }
         if isinstance(value, tuple):
             return [plain(item) for item in value]
@@ -449,6 +450,7 @@ def assert_exchanges_join_into_traces(tmp_path, config_path) -> None:
         return out
 
     traces, billed = [], []
+    backend = load_config(config_path).backend
     real_run_strategy, real_make_client = cli.run_strategy, cli.make_client
 
     def run_strategy(*args, **kwargs):
@@ -474,9 +476,9 @@ def assert_exchanges_join_into_traces(tmp_path, config_path) -> None:
     by_question: dict[str, list[int]] = {}
     for line, trace in zip(trace_lines, traces):
         row = json.loads(line)
-        assert line == _dumps({**whole_row(trace), "exchanges": row["exchanges"]})
+        assert line == _dumps({**whole_row(trace, backend), "exchanges": row["exchanges"]})
         joined = {**row, "exchanges": [exchanges[i] for i in row["exchanges"]]}
-        assert _dumps(joined) == _dumps(whole_row(trace))
+        assert _dumps(joined) == _dumps(whole_row(trace, backend))
         by_question.setdefault(row["question_id"], []).extend(row["exchanges"])
     # every row is referenced, and the rows run in the order the calls were first made
     first_seen = [i for ids in by_question.values() for i in dict.fromkeys(ids)]
@@ -1143,7 +1145,7 @@ def test_main_rejects_a_rankings_row_that_is_not_an_object(tmp_path, capsys):
     "fault",
     [
         "no questions file", "no rankings file", "no script file", "unranked question",
-        "unknown ranked id", "duplicate question id",
+        "unknown ranked id", "duplicate question id", "empty ranking",
     ],
 )
 def test_an_input_fault_stops_a_sweep_in_its_first_mode_with_one_error_line(
@@ -1158,6 +1160,8 @@ def test_an_input_fault_stops_a_sweep_in_its_first_mode_with_one_error_line(
         del rows[1]
     elif fault == "unknown ranked id":
         rows[0]["ranked_passage_ids"] = ["nowhere#0", *ids[:2]]
+    elif fault == "empty ranking":
+        rows[4]["ranked_passage_ids"] = []
     rankings = tmp_path / "rankings.jsonl"
     rankings.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     duplicated = tmp_path / "questions.jsonl"
@@ -1176,6 +1180,10 @@ def test_an_input_fault_stops_a_sweep_in_its_first_mode_with_one_error_line(
         ),
         "duplicate question id": (
             {"questions": duplicated}, f"{duplicated}:21: duplicate question id 'q01'"
+        ),
+        "empty ranking": (
+            {"rankings": rankings},
+            "question 'q05' needs a non-empty ranking, got an empty list",
         ),
     }[fault]
     config_path = write_config(
@@ -1373,6 +1381,24 @@ def live_run(root: Path, endpoint: FlakyEndpoint, workers: int, out: str) -> tup
     assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
     usage = [line for line in printed.getvalue().splitlines() if line.startswith("usage:")]
     return code, "".join(usage)
+
+
+@pytest.mark.parametrize("command", ["run", "filter"])
+def test_the_configs_reply_cap_reaches_every_live_payload(tmp_path, capsys, command):
+    endpoint, caps = FlakyEndpoint(), []
+
+    def transport(payload: dict) -> tuple[int, dict]:
+        caps.append(payload["max_tokens"])
+        return endpoint(payload)
+
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="all", max_response_tokens=7,
+        **_LIVE,
+    )
+    with mock.patch.object(llm, "_http_transport", lambda *args: transport):
+        assert main([command, "--config", str(config_path)]) == 0
+    assert len(caps) == len(endpoint.answered) > 0
+    assert set(caps) == {7}
 
 
 @cache
@@ -1610,6 +1636,28 @@ def test_crashed_run_keeps_the_completed_rows_and_a_failed_manifest(tmp_path, ca
     tokens = (out / "tokens.csv").read_text(encoding="utf-8").splitlines()
     assert tokens[0] == "strategy,question_id,calls,prompt_tokens,completion_tokens"
     assert [row.split(",")[1] for row in tokens[1:]] == ["q1"] * 6
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_run_leaves_a_failed_manifest(tmp_path, monkeypatch, workers):
+    respond, reached, lock = RuleClient._respond, [], threading.Lock()
+
+    def interrupted(self, request):
+        with lock:
+            reached.append(request)
+            if len(reached) == 30:
+                raise KeyboardInterrupt
+        return respond(self, request)
+
+    monkeypatch.setattr(RuleClient, "_respond", interrupted)
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path / "run.yaml", out=out, strategies="all", workers=workers)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(config_path)])
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    # an interrupt has no text, so its class names it
+    assert (manifest["status"], manifest["error"]) == ("failed", "KeyboardInterrupt")
+    assert len((out / "records.jsonl").read_text(encoding="utf-8").splitlines()) < 120
 
 
 def test_main_reports_errors_with_exit_code_2(tmp_path, capsys):

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import ragfuse.cli as cli
 from conftest import FIXTURES, make_passage, make_question, run_python, spy_backend, write_config
 from ragfuse.llm import (
-    Backend,
     BudgetError,
     CompletionRequest,
     LiveClient,
@@ -81,7 +80,6 @@ def test_rule_client_returns_first_alias_found_in_passages():
     prompt = render_concatenation(PASSAGES, QUESTION)
     response = client.complete(CompletionRequest(prompt_text=prompt))
     assert response.text == "green"
-    assert response.backend is Backend.RULE
     assert response.prompt_tokens == count_tokens(prompt)
     assert response.completion_tokens == 1
 
@@ -190,7 +188,6 @@ def test_script_client_looks_up_by_question_and_exchange():
         CompletionRequest(prompt_text="x", question_id="q1", exchange_key="concat")
     )
     assert response.text == "unknown"
-    assert response.backend is Backend.SCRIPT
 
 
 def test_script_client_missing_key_is_an_error():
@@ -269,11 +266,11 @@ def live_client(outcomes, **kwargs) -> tuple[LiveClient, list, list]:
 
 def test_live_client_uses_provider_usage():
     client, calls, _ = live_client(
-        [(200, ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": 7}))]
+        [(200, ok_body("Paris", {"prompt_tokens": 41, "completion_tokens": 7}))],
+        max_response_tokens=9,
     )
-    response = client.complete(CompletionRequest(prompt_text="a b c", max_response_tokens=9))
+    response = client.complete(CompletionRequest(prompt_text="a b c"))
     assert (response.text, response.prompt_tokens, response.completion_tokens) == ("Paris", 41, 7)
-    assert response.backend is Backend.LIVE
     assert len(calls) == 1
     payload = calls[0]
     assert payload["model"] == "test-model"
@@ -361,10 +358,24 @@ def test_token_counts_up_to_the_cap_are_billed_and_cached_as_given(tmp_path):
 
 @pytest.mark.parametrize("cap", [0, -5])
 def test_a_nonpositive_response_cap_is_refused_before_any_payload_is_sent(cap):
-    client, calls, _ = live_client([(200, ok_body("Paris"))])
+    transport, calls = make_transport([(200, ok_body("Paris"))])
     with pytest.raises(ValueError, match=f"max_response_tokens must be >= 1, got {cap}"):
-        client.complete(CompletionRequest(prompt_text="x", max_response_tokens=cap))
+        LiveClient(endpoint="e", model="m", transport=transport, max_response_tokens=cap)
     assert calls == []
+
+
+# LiveClient's check is covered above, with its payloads.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cap: RuleClient([QUESTION], max_response_tokens=cap),
+        lambda cap: ScriptClient({}, max_response_tokens=cap),
+    ],
+)
+def test_the_offline_clients_check_their_response_cap_when_built(build):
+    assert build(1).max_response_tokens == 1
+    with pytest.raises(ValueError, match="max_response_tokens must be >= 1, got 0"):
+        build(0)
 
 
 def test_live_client_enforces_max_in_flight():
@@ -666,8 +677,8 @@ def test_http_transport_posts_the_payload_and_reads_provider_usage(endpoint):
     usage = {"prompt_tokens": 41, "completion_tokens": 7}
     endpoint.replies = [json_reply(200, ok_body("Paris", usage))]
     for api_key in ("sk-test", None):
-        client, sleeps = http_client(endpoint.url, api_key=api_key)
-        response = client.complete(CompletionRequest(prompt_text="a b c", max_response_tokens=9))
+        client, sleeps = http_client(endpoint.url, api_key=api_key, max_response_tokens=9)
+        response = client.complete(CompletionRequest(prompt_text="a b c"))
         assert (response.text, response.prompt_tokens, response.completion_tokens) == ("Paris", 41, 7)
         assert sleeps == []
     assert [auth for auth, _ in endpoint.seen] == ["Bearer sk-test", None]
@@ -972,10 +983,14 @@ def test_response_cache_keys_on_model_and_prompt():
 
 def test_response_cache_keys_on_max_response_tokens(tmp_path):
     cache = ResponseCache(tmp_path / "cache.jsonl")
-    long_client, long_calls, _ = live_client([(200, ok_body("a long answer"))], cache=cache)
-    short_client, short_calls, _ = live_client([(200, ok_body("short"))], cache=cache)
-    long = long_client.complete(CompletionRequest(prompt_text="p", max_response_tokens=64))
-    short = short_client.complete(CompletionRequest(prompt_text="p", max_response_tokens=5))
+    long_client, long_calls, _ = live_client(
+        [(200, ok_body("a long answer"))], cache=cache, max_response_tokens=64
+    )
+    short_client, short_calls, _ = live_client(
+        [(200, ok_body("short"))], cache=cache, max_response_tokens=5
+    )
+    long = long_client.complete(CompletionRequest(prompt_text="p"))
+    short = short_client.complete(CompletionRequest(prompt_text="p"))
     assert (len(long_calls), len(short_calls)) == (1, 1)
     assert (long.text, short.text) == ("a long answer", "short")
     assert short_calls[0]["max_tokens"] == 5
