@@ -6,7 +6,9 @@ import argparse
 import csv
 import json
 import os
+import signal
 import sys
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -416,6 +418,12 @@ def _run_single(
         return results, list(exchanges.values())
 
     config.out.mkdir(parents=True, exist_ok=True)
+    # Marked running before the first row, and an earlier run's report
+    # dropped, so that a run killed before its finally below leaves no
+    # complete manifest or full report beside its partial rows.
+    _write_manifest(config, len(questions), "running", None)
+    for name in ("report.json", "report.csv"):
+        (config.out / name).unlink(missing_ok=True)
     all_records: list[EvalRecord] = []
     # Billed: the questions' distinct exchanges, each request that reached the
     # client once. Attributed: every exchange of the traces, memo hits too.
@@ -520,6 +528,12 @@ def _write_run_outputs(
         writer = csv.writer(handle)
         writer.writerow(_REPORT_COLUMNS)
         writer.writerows(astuple(row) for row in report.strategies)
+    _write_manifest(config, num_questions, status, error_text)
+
+
+def _write_manifest(
+    config: RunConfig, num_questions: int, status: str, error_text: str | None
+) -> None:
     manifest = {
         "command": "run",
         "status": status,
@@ -558,6 +572,8 @@ def cmd_run(config: RunConfig) -> dict[str, EvalReport]:
     client = make_client(config, questions)
     if config.placement != _SWEEP:
         return {config.placement: _run_single(config, questions, ranked, by_id, client)}
+    # An earlier sweep's table would outlive a sweep that fails or is killed.
+    (config.out / "sweep.csv").unlink(missing_ok=True)
     reports: dict[str, EvalReport] = {}
     for mode in _SWEEP_MODES:
         sub = replace(config, placement=mode.value, out=config.out / mode.value)
@@ -621,8 +637,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread: like KeyboardInterrupt, no
+    ``except Exception`` stops it on its way to main."""
+
+
+def _terminate(signum: int, frame: object) -> None:
+    raise _Terminated(f"terminated by {signal.Signals(signum).name}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # SIGTERM ends a run as an interrupt does: its manifest says failed and
+    # names the signal. Only the main thread may set a handler.
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if in_main else None
     try:
         if args.command == "report":
             cmd_report(args.records, args.nm_denominator)
@@ -641,6 +670,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, BudgetError, TransportError, ScriptError, RuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _Terminated as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 128 + signal.SIGTERM
+    finally:
+        if in_main:  # None stands for a handler set outside Python
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ import math
 import threading
 import time
 import urllib.parse  # pathlib imports it too, so it costs an offline run nothing
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import BinaryIO, Callable, Iterable, Mapping
 
 from .corpus import CorpusError, Question, check_row, read_rows
 from .prompts import DEFAULT_SENTINEL, extract_task
@@ -205,7 +206,7 @@ _CACHE_ROW = {"key": (str,), "text": (str,), "prompt_tokens": (int,), "completio
 
 
 class ResponseCache:
-    """Append-only JSONL cache keyed by a hash of the request payload.
+    """Append-only JSONL cache keyed by a hash of the request payload and endpoint.
 
     Lets an interrupted live run resume without re-billing completed calls.
     An unterminated final line is what an interrupted append leaves behind:
@@ -218,6 +219,7 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[str, int, int]] = {}
         self._torn_at: int | None = None
+        self._append: BinaryIO | None = None
         if not self.path.exists():
             return
         with self.path.open("rb") as handle:
@@ -238,12 +240,17 @@ class ResponseCache:
                     )
 
     @staticmethod
-    def key_for(payload: dict) -> str:
-        """Hash of the payload as sent: every request parameter is in the key."""
+    def key_for(payload: dict, endpoint: str = "") -> str:
+        """Hash of the payload as sent and of the endpoint's scheme, host, port
+        and path: every request parameter is in the key, and so is the server
+        that answers, but not the credentials in the endpoint's URL."""
         # Imported here: hashlib maps OpenSSL, which only a cached live run needs.
         import hashlib
 
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+        parts = urllib.parse.urlsplit(endpoint)
+        server = f"{parts.scheme}://{parts.netloc.rpartition('@')[2]}{parts.path}"
+        keyed = json.dumps([server, payload], sort_keys=True)
+        return hashlib.sha256(keyed.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> tuple[str, int, int] | None:
         with self._lock:
@@ -260,12 +267,16 @@ class ResponseCache:
             if key in self._entries:
                 return
             self._entries[key] = (text, prompt_tokens, completion_tokens)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
+            if self._append is None:  # opened once: a put makes one write call
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._append = self.path.open("ab")
+                weakref.finalize(self, self._append.close)
                 if self._torn_at is not None:
-                    handle.truncate(self._torn_at)
+                    self._append.truncate(self._torn_at)
                     self._torn_at = None
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            # Flushed before put returns, so that a killed process loses no row.
+            self._append.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+            self._append.flush()
 
 
 # A transport takes the JSON payload and returns (status_code, parsed body).
@@ -305,7 +316,6 @@ def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Trans
     import http.client
     import ssl
     import urllib.request
-    import weakref
 
     parts = urllib.parse.urlsplit(endpoint)
     target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
@@ -472,6 +482,7 @@ class LiveClient(CompletionClient):
     ) -> None:
         super().__init__(max_prompt_tokens, max_response_tokens)
         check_live_settings(timeout, max_in_flight)
+        self.endpoint = endpoint
         self.model = model
         self.cache = cache
         self._transport = transport or _http_transport(endpoint, api_key, timeout)
@@ -487,36 +498,42 @@ class LiveClient(CompletionClient):
         }
         cache_key = None
         if self.cache is not None:
-            cache_key = ResponseCache.key_for(payload)
+            cache_key = ResponseCache.key_for(payload, self.endpoint)
             hit = self.cache.get(cache_key)
             if hit is not None:
                 return hit
-        status, body = self._send_with_retries(payload)
-        text, prompt_tokens, completion_tokens = _completion_fields(body, status)
-        if cache_key is not None:
-            self.cache.put(
-                cache_key,
-                text,
-                prompt_tokens if prompt_tokens is not None else count_tokens(request.prompt_text),
-                completion_tokens if completion_tokens is not None else count_tokens(text),
-            )
-        return text, prompt_tokens, completion_tokens
+        return self._send_with_retries(payload, cache_key)
 
-    def _send_with_retries(self, payload: dict) -> tuple[int, dict]:
+    def _send_with_retries(
+        self, payload: dict, cache_key: str | None
+    ) -> tuple[str, int | None, int | None]:
+        """The reply's text and reported token counts. A reply is cached under
+        cache_key, if given, before its call leaves the gate: so at any moment
+        at most max_in_flight replies are paid for and not yet cached, which
+        bounds what a killed run pays for again when it resumes."""
         failure: str = "no attempt made"
         for attempt in range(1 + len(_RETRY_DELAYS)):
             if attempt > 0:
                 self._sleep(_RETRY_DELAYS[attempt - 1])
-            try:
-                with self._gate:
+            with self._gate:
+                try:
                     status, body = self._transport(payload)
-            except TransportError as exc:
-                failure = str(exc)
-                continue
-            if status == 429 or status >= 500:
-                failure = f"HTTP {status}"
-                continue
-            if status >= 400:
-                raise TransportError(f"HTTP {status} from completion endpoint: {body}")
-            return status, body
+                except TransportError as exc:
+                    failure = str(exc)
+                    continue
+                if status == 429 or status >= 500:
+                    failure = f"HTTP {status}"
+                    continue
+                if status >= 400:
+                    raise TransportError(f"HTTP {status} from completion endpoint: {body}")
+                text, prompt_tokens, completion_tokens = _completion_fields(body, status)
+                if cache_key is not None:
+                    prompt = payload["messages"][0]["content"]
+                    self.cache.put(
+                        cache_key,
+                        text,
+                        prompt_tokens if prompt_tokens is not None else count_tokens(prompt),
+                        completion_tokens if completion_tokens is not None else count_tokens(text),
+                    )
+                return text, prompt_tokens, completion_tokens
         raise TransportError(f"gave up after {1 + len(_RETRY_DELAYS)} attempts: {failure}")

@@ -2,10 +2,13 @@
 
 import errno
 import gc
+import http.server
 import io
 import json
 import math
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -16,6 +19,7 @@ from contextlib import redirect_stdout
 from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -729,6 +733,15 @@ def test_offline_run_loads_neither_openssl_nor_the_http_stack(tmp_path):
     done = run_python(script, str(FIXTURES / "toy_config.yaml"), str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # Each name is imported from the module that defines it; the package used
+    # to import all six modules to re-export their names.
+    script = "import sys, ragfuse\nprint(sorted(m for m in sys.modules if m.startswith('ragfuse.')))\n"
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_a_reader_that_closes_stdout_early_ends_the_run_with_exit_1_and_no_error(tmp_path):
@@ -1658,6 +1671,175 @@ def test_an_interrupted_run_leaves_a_failed_manifest(tmp_path, monkeypatch, work
     # an interrupt has no text, so its class names it
     assert (manifest["status"], manifest["error"]) == ("failed", "KeyboardInterrupt")
     assert len((out / "records.jsonl").read_text(encoding="utf-8").splitlines()) < 120
+
+
+class _SignallingHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = payload["messages"][0]["content"]
+        with server.lock:
+            server.prompts.append(prompt)
+            count = len(server.prompts) - server.armed_at
+            hit = server.child is not None and server.at(count, prompt)
+            if hit:
+                server.child.send_signal(server.signum)
+                server.child = None
+        if hit and not server.reply:
+            return
+        text = server.rule.complete(CompletionRequest(prompt_text=prompt)).text
+        body = json.dumps({"choices": [{"message": {"content": text}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class SignallingEndpoint(http.server.ThreadingHTTPServer):
+    """A loopback live endpoint answering with the rule backend on the toy
+    questions; ``prompts`` holds every request's prompt. Once armed, it sends
+    ``signum`` to the child process on the first request for which
+    ``at(count, prompt)`` holds, counting from 1 at the arming, then answers
+    that request, or with ``reply`` false leaves it unanswered."""
+
+    daemon_threads = True
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _SignallingHandler)
+        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+        self.lock = threading.Lock()
+        self.rule = RuleClient(load_questions(FIXTURES / "toy_questions.jsonl"))
+        self.prompts: list[str] = []
+        self.child, self.armed_at = None, 0
+
+    def arm(self, child: subprocess.Popen, signum: int, at, reply: bool) -> None:
+        with self.lock:
+            self.armed_at = len(self.prompts)
+            self.child, self.signum, self.at, self.reply = child, signum, at, reply
+
+    def handle_error(self, request, client_address):
+        pass  # a reply to a killed child finds its connection gone
+
+
+class LiveToy(NamedTuple):
+    endpoint: SignallingEndpoint
+    config_path: Path
+    out: Path
+    cache_path: Path
+    artifacts: dict[str, bytes]
+    cached: list[str]
+
+
+@pytest.fixture(scope="module")
+def live_toy(tmp_path_factory):
+    """The toy run (no_gold, k 3, every strategy) on the live backend against
+    a SignallingEndpoint, at workers 2 and max_in_flight 2, with a cache; and
+    the artifacts and sorted cache lines of one uninterrupted run of it."""
+    root = tmp_path_factory.mktemp("live_toy")
+    server = SignallingEndpoint()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    out, cache_path = root / "out", root / "cache.jsonl"
+    config_path = write_config(
+        root / "run.yaml", out=out, strategies="all", backend="live", endpoint=server.url,
+        model="m", workers=2, max_in_flight=2, cache=cache_path,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("no_proxy", "127.0.0.1")  # the children inherit it
+        with redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(config_path)]) == 0
+        assert len(server.prompts) == 133  # the distinct requests
+        artifacts = {path.name: path.read_bytes() for path in out.iterdir()}
+        cached = sorted(cache_path.read_text(encoding="utf-8").splitlines())
+        yield LiveToy(server, config_path, out, cache_path, artifacts, cached)
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def run_killed(toy: LiveToy, signum: int, at, reply: bool) -> tuple[int, str]:
+    """Run ``ragfuse run`` in a child that the endpoint signals; its exit code and stderr."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ragfuse.cli", "run", "--config", str(toy.config_path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=checkout_env(), text=True,
+    )
+    toy.endpoint.arm(child, signum, at, reply)
+    try:
+        err = child.communicate(timeout=120)[1]
+    finally:
+        child.kill()
+    assert toy.endpoint.child is None, "the endpoint never signalled the child"
+    return child.returncode, err
+
+
+def at_request(n: int):
+    return lambda count, prompt: count == n
+
+
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_a_killed_rerun_leaves_no_complete_manifest_or_stale_report(live_toy, signum):
+    # A rerun into a finished run's out used to leave its complete manifest
+    # and full report beside the rerun's partial rows.
+    shutil.rmtree(live_toy.out)
+    live_toy.out.mkdir()
+    for name, data in live_toy.artifacts.items():
+        (live_toy.out / name).write_bytes(data)
+    live_toy.cache_path.unlink(missing_ok=True)  # so that the rerun sends its calls again
+    code, err = run_killed(live_toy, signum, at_request(40), reply=True)
+    out = live_toy.out
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert len((out / "records.jsonl").read_text(encoding="utf-8").splitlines()) < 120
+    if signum == signal.SIGKILL:
+        assert code == -signal.SIGKILL
+        assert (manifest["status"], manifest["error"]) == ("running", None)
+        assert not (out / "report.json").exists() and not (out / "report.csv").exists()
+    else:
+        assert (code, err) == (143, "error: terminated by SIGTERM\n")
+        assert (manifest["status"], manifest["error"]) == ("failed", "terminated by SIGTERM")
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert all(row["num_questions"] < 20 for row in report["strategies"])
+
+
+def _is_distill(prompt: str) -> bool:
+    return "\nCandidates: " in prompt
+
+
+@pytest.mark.parametrize(
+    "at, torn",
+    [
+        (at_request(1), False),
+        # With every strategy configured, each call but distill is first-round.
+        (lambda count, prompt: count >= 40 and not _is_distill(prompt), False),
+        (lambda count, prompt: count >= 40 and _is_distill(prompt), False),
+        (lambda count, prompt: count >= 40 and _is_distill(prompt), True),
+        (at_request(133), False),
+    ],
+    ids=["first", "first_round", "distill", "distill_torn_row", "last"],
+)
+def test_a_killed_live_run_resumes_without_paying_twice(live_toy, at, torn):
+    shutil.rmtree(live_toy.out, ignore_errors=True)
+    live_toy.cache_path.unlink(missing_ok=True)
+    sent_before = len(live_toy.endpoint.prompts)
+    code, _ = run_killed(live_toy, signal.SIGKILL, at, reply=False)
+    assert code == -signal.SIGKILL
+    if torn:  # what a kill in the middle of an append leaves
+        with live_toy.cache_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"completion_tokens": 1, "key": "')
+    resumed = subprocess.run(
+        [sys.executable, "-m", "ragfuse.cli", "run", "--config", str(live_toy.config_path)],
+        capture_output=True, env=checkout_env(), text=True, timeout=120,
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    # At most the max_in_flight calls under way at the kill are paid twice.
+    assert len(live_toy.endpoint.prompts) - sent_before <= 133 + 2
+    assert {path.name: path.read_bytes() for path in live_toy.out.iterdir()} == live_toy.artifacts
+    cached = sorted(live_toy.cache_path.read_text(encoding="utf-8").splitlines())
+    assert cached == live_toy.cached
 
 
 def test_main_reports_errors_with_exit_code_2(tmp_path, capsys):

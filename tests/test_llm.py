@@ -891,7 +891,9 @@ def test_a_live_sweep_runs_its_three_modes_over_one_client_and_one_cache(
             assert cli.main(["run", "--config", str(config_path)]) == 0
             printed = capsys.readouterr().out.splitlines()
             usage += [line for line in printed if line.startswith("usage:")]
-        cached = sorted((root / "cache.jsonl").read_text(encoding="utf-8").splitlines())
+        # Each run has its own server, and a cache key names the server: compare the rows' replies.
+        rows = [json.loads(line) for line in (root / "cache.jsonl").read_text().splitlines()]
+        cached = sorted((row["text"], row["prompt_tokens"], row["completion_tokens"]) for row in rows)
         runs[name] = (usage, cached, len(server.seen), client_connections(server), len(caches))
     usage, cached, answered, connections, built = runs["sweep"]
     assert len(usage) == 3
@@ -979,6 +981,35 @@ def test_response_cache_keys_on_model_and_prompt():
     assert key_for(payload("m1", "p")) != key_for(payload("m2", "p"))
     assert key_for(payload("m1", "p")) != key_for(payload("m1", "q"))
     assert key_for(payload("m1", "p")) == key_for(payload("m1", "p"))
+
+
+def test_response_cache_keys_on_the_endpoint_but_not_its_credentials():
+    payload = {"model": "m", "messages": [{"role": "user", "content": "p"}]}
+    key = ResponseCache.key_for(payload, "https://h:8/v1")
+    assert ResponseCache.key_for(payload, "https://user:secret@h:8/v1") == key
+    for other in ("http://h:8/v1", "https://g:8/v1", "https://h:9/v1", "https://h:8/v2"):
+        assert ResponseCache.key_for(payload, other) != key
+
+
+def test_a_cache_written_against_one_endpoint_does_not_answer_for_another(serve, tmp_path, capsys):
+    # The key used to hash the payload alone, so a run against a second server
+    # that names its model the same got the first server's replies from the cache.
+    first, second = serve(), serve()
+    first.replies = [json_reply(200, ok_body("Alpha"))]
+    second.replies = [json_reply(200, ok_body("unknown"))]
+    for server in (first, second):
+        out = tmp_path / str(server.server_port)
+        config_path = write_config(
+            tmp_path / "run.yaml", out=out, strategies="all", backend="live",
+            endpoint=server.url, model="m", cache=tmp_path / "cache.jsonl",
+        )
+        assert cli.main(["run", "--config", str(config_path)]) == 0
+    # Every call of the second run reached the second server.
+    rows = (out / "exchanges.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(second.seen) == len(rows) > 0
+    assert {json.loads(row)["response"] for row in rows} == {"unknown"}
+    records = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert all(json.loads(record)["is_unknown"] for record in records)
 
 
 def test_response_cache_keys_on_max_response_tokens(tmp_path):
