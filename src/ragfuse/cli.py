@@ -10,7 +10,6 @@ import signal
 import sys
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
@@ -271,14 +270,14 @@ def _exchange_to_dict(exchange: Exchange, row_id: int, backend: str) -> dict:
     }
 
 
-def trace_to_dict(trace: StrategyTrace, exchange_ids: dict[int, int]) -> dict:
+def trace_to_dict(trace: StrategyTrace, exchange_ids: dict[str, int]) -> dict:
     """Every trace field; each Answer as its text and each Exchange as the id of
-    its exchanges.jsonl row, which ``exchange_ids`` holds under id(exchange)."""
+    its exchanges.jsonl row, which ``exchange_ids`` holds under its exchange key."""
     answers = trace.per_passage_answers
     return {
         **vars(trace),
         "final": trace.final.text,
-        "exchanges": [exchange_ids[id(exchange)] for exchange in trace.exchanges],
+        "exchanges": [exchange_ids[exchange.exchange_key] for exchange in trace.exchanges],
         "per_passage_answers": None if answers is None else [answer.text for answer in answers],
     }
 
@@ -386,15 +385,17 @@ def _run_single(
 ) -> EvalReport:
     """One run at a concrete placement mode over each question's ranking; writes all artifacts."""
     policy = config.policy()
-
-    # A live client waits on the endpoint, so each question's first round goes out
-    # through one run-wide pool. It has two threads for each of the client's
-    # max_in_flight slots: while one waits on the wire, the other renders its next
-    # call, so no slot idles between calls. Offline clients make each call when a
-    # strategy reaches it: under the interpreter lock a pool overlaps nothing.
-    sending = (
-        ThreadPoolExecutor(2 * config.max_in_flight) if isinstance(client, LiveClient) else None
-    )
+    # Only a live client waits (on the endpoint), so only a live run starts threads:
+    # one run-wide pool sends each question's first round, with two threads for each
+    # of the client's max_in_flight slots, so that one renders while the other waits
+    # on the wire. Under the interpreter lock a thread overlaps nothing else, so an
+    # offline run takes its questions one at a time here, whatever ``workers`` says.
+    live = isinstance(client, LiveClient)
+    sending = executor = None
+    if live:
+        from concurrent.futures import ThreadPoolExecutor
+        sending = ThreadPoolExecutor(2 * config.max_in_flight)
+        executor = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
 
     def work(question: Question) -> tuple[list[tuple[StrategyTrace, EvalRecord]], list[Exchange]]:
         """The question's (trace, record) pairs, and its distinct exchanges,
@@ -405,16 +406,14 @@ def _run_single(
         selected = [by_id[pid] for pid in placed.passage_ids()]
         # One memo per question: its strategies repeat each other's calls.
         # Only this thread reads or writes it, so it needs no lock.
-        memo = {} if sending is None else send_ahead(
+        memo = send_ahead(
             config.strategies, selected, question, client, sending.submit, policy=policy
-        )
+        ) if live else {}
         results = []
         for strategy in config.strategies:
             trace = run_strategy(strategy, selected, question, client, policy=policy, memo=memo)
             results.append((trace, score_trace(trace, question)))
-        # Keyed by id(): a request's exchange is one object wherever it is
-        # used, and a key keeps the place where it was first inserted.
-        exchanges = {id(e): e for trace, _ in results for e in trace.exchanges}
+        exchanges = {e.exchange_key: e for trace, _ in results for e in trace.exchanges}
         return results, list(exchanges.values())
 
     config.out.mkdir(parents=True, exist_ok=True)
@@ -429,7 +428,6 @@ def _run_single(
     # client once. Attributed: every exchange of the traces, memo hits too.
     usage = {"billed": [0, 0, 0], "attributed": [0, 0, 0]}
     status, error_text = "complete", None
-    executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     with (
         (config.out / "traces.jsonl").open("w", encoding="utf-8") as traces_file,
         (config.out / "exchanges.jsonl").open("w", encoding="utf-8") as exchanges_file,
@@ -441,14 +439,12 @@ def _run_single(
         try:
             results: Iterable = map(work, questions)
             if executor is not None:  # two questions per worker keep each one busy
-                results = _in_order(executor, work, questions, 2 * config.workers)
+                results = _in_order(executor.submit, work, questions, 2 * config.workers)
             rows = 0  # written to exchanges.jsonl
             for per_question, exchanges in results:
-                # Keyed by id(): the question's exchanges stay alive until its
-                # traces are written, so no two of them share an id().
                 exchange_ids = {}
                 for row_id, exchange in enumerate(exchanges, start=rows):
-                    exchange_ids[id(exchange)] = row_id
+                    exchange_ids[exchange.exchange_key] = row_id
                     row = _exchange_to_dict(exchange, row_id, config.backend)
                     exchanges_file.write(_json_line(row))
                     response = exchange.response
@@ -495,14 +491,14 @@ def _run_single(
     return report
 
 
-def _in_order(pool: ThreadPoolExecutor, work: Callable, items: Iterable, window: int) -> Iterator:
-    """work(item) for each item, in order, run on the pool with at most ``window``
+def _in_order(submit: Callable, work: Callable, items: Iterable, window: int) -> Iterator:
+    """work(item) for each item, in order, run through ``submit`` with at most ``window``
     items submitted and not yet taken, so that results do not pile up in memory."""
-    pending: deque[Future] = deque()
+    pending: deque = deque()
     for item in items:
         if len(pending) == window:
             yield pending.popleft().result()
-        pending.append(pool.submit(work, item))
+        pending.append(submit(work, item))
     while pending:
         yield pending.popleft().result()
 
@@ -624,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="rng seed override")
     run.add_argument("--placement", choices=_PLACEMENTS, help="gold placement mode override")
     run.add_argument("--strategies", help="comma-separated strategy names, or 'all'")
-    run.add_argument("--workers", type=int, help="question-level worker count")
+    run.add_argument("--workers", type=int, help="question threads of a live run")
     run.add_argument(
         "--nm-denominator", dest="nm_denominator", choices=NM_DENOMINATORS,
         help="no-match rate denominator",

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .corpus import Passage, Question
 from .evaluation import exact_match, normalize_answer
@@ -25,6 +24,9 @@ from .prompts import (
     render_summary,
 )
 
+if TYPE_CHECKING:  # only a live run sends ahead, and loads the module then
+    from concurrent.futures import Future
+
 
 class Strategy(str, Enum):
     CONCAT = "concat"
@@ -37,11 +39,14 @@ class Strategy(str, Enum):
 
 @dataclass(frozen=True)
 class Exchange:
-    """One prompt/response round trip, keyed for scripted replay."""
+    """One prompt/response round trip; its request holds its exchange key."""
 
-    exchange_key: str
     request: CompletionRequest
     response: CompletionResponse
+
+    @property
+    def exchange_key(self) -> str:
+        return self.request.exchange_key
 
     @property
     def kind(self) -> str:
@@ -156,8 +161,7 @@ def _fetch(
             raise OSError(f"{where}: {exc}") from exc
         exc.args = (f"{where}: {exc}",)
         raise
-    exchange = Exchange(exchange_key, request, response)
-    return exchange, classify_response(response.text, policy)
+    return Exchange(request, response), classify_response(response.text, policy)
 
 
 def send_ahead(
@@ -225,7 +229,7 @@ def run_strategy(
             held = memo[exchange_key] = _fetch(
                 client, question, policy, given, exchange_key, candidates
             )
-        exchange, answer = held.result() if isinstance(held, Future) else held
+        exchange, answer = held if isinstance(held, tuple) else held.result()
         exchanges.append(exchange)
         return answer
 

@@ -442,17 +442,9 @@ def whole_row(trace: StrategyTrace, backend: str) -> dict:
 
 
 def assert_exchanges_join_into_traces(tmp_path, config_path) -> None:
-    """Run at workers 1, 2 and 4: exchanges.jsonl joined into traces.jsonl by
-    id gives the in-memory traces' whole rows, each id resolves and each
-    exchange row is referenced, a question's rows are its billed calls, and
-    exchanges.jsonl is the same at every worker count."""
-
-    def run(workers: int) -> Path:
-        out = tmp_path / f"workers{workers}"
-        argv = ["run", "--config", str(config_path), "--out", str(out), "--workers", str(workers)]
-        assert main(argv) == 0
-        return out
-
+    """exchanges.jsonl joined into traces.jsonl by id gives the in-memory
+    traces' whole rows, each id resolves and each exchange row is referenced,
+    and a question's rows are its billed calls."""
     traces, billed = [], []
     backend = load_config(config_path).backend
     real_run_strategy, real_make_client = cli.run_strategy, cli.make_client
@@ -469,7 +461,8 @@ def assert_exchanges_join_into_traces(tmp_path, config_path) -> None:
     with pytest.MonkeyPatch.context() as spies:
         spies.setattr(cli, "run_strategy", run_strategy)
         spies.setattr(cli, "make_client", make_client)
-        out = run(1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     # Split at "\n" only: a text may hold U+2028, which splitlines() breaks at.
     exchange_lines = (out / "exchanges.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
     trace_lines = (out / "traces.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
@@ -495,10 +488,6 @@ def assert_exchanges_join_into_traces(tmp_path, config_path) -> None:
             for request in reached
             if request.question_id == question_id
         ], question_id
-    for workers in (2, 4):
-        assert (run(workers) / "exchanges.jsonl").read_bytes() == (
-            out / "exchanges.jsonl"
-        ).read_bytes(), workers
 
 
 def test_exchanges_join_into_traces_on_the_toy_fixture(tmp_path, capsys):
@@ -722,12 +711,12 @@ def test_no_document_is_alive_when_the_index_build_starts(tmp_path, monkeypatch)
     assert built == [0]
 
 
-def test_offline_run_loads_neither_openssl_nor_the_http_stack(tmp_path):
+def test_an_offline_run_loads_no_thread_pool_openssl_or_http_stack(tmp_path):
     script = (
         "import sys\n"
         "from ragfuse.cli import main\n"
-        "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "heavy = ('hashlib', 'ssl', 'urllib.request', 'http.client')\n"
+        "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--workers', '4'])\n"
+        "heavy = ('concurrent.futures', 'hashlib', 'ssl', 'urllib.request', 'http.client')\n"
         "print(code, [name for name in heavy if name in sys.modules])\n"
     )
     done = run_python(script, str(FIXTURES / "toy_config.yaml"), str(tmp_path / "out"))
@@ -764,60 +753,69 @@ def test_a_reader_that_closes_stdout_early_ends_the_run_with_exit_1_and_no_error
     assert manifest["status"] == "complete"
 
 
-def test_cmd_run_is_deterministic_across_workers(tmp_path):
-    first = run_config(tmp_path, out=tmp_path / "a")
-    second = run_config(tmp_path, out=tmp_path / "b", workers=4)
-    cmd_run(first)
-    cmd_run(second)
-    assert (tmp_path / "a" / "records.jsonl").read_bytes() == (
-        tmp_path / "b" / "records.jsonl"
-    ).read_bytes()
-    assert (tmp_path / "a" / "traces.jsonl").read_bytes() == (
-        tmp_path / "b" / "traces.jsonl"
-    ).read_bytes()
+def run_artifacts(out: Path) -> dict[str, bytes]:
+    """Every file a run wrote under out, by its path there; in each manifest
+    the config's out and workers are blanked."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                manifest["config"].update(out=None, workers=None)
+                data = json.dumps(manifest, sort_keys=True).encode("utf-8")
+            files[str(path.relative_to(out))] = data
+    return files
 
 
-def test_workers_run_at_most_a_window_of_questions_ahead_of_the_writer(tmp_path, monkeypatch):
-    # The pool used to take every question at once, so behind a slow writer
-    # finished questions piled up in memory.
-    workers = 2
-    lock = threading.Lock()
-    started, written, ahead = [0], [0], []
-    place, to_dict = cli.apply_gold_placement, cli.record_to_dict
+@pytest.mark.parametrize("backend", ["rule", "script"])
+def test_an_offline_run_takes_every_question_on_the_main_thread(
+    tmp_path, capsys, monkeypatch, toy_questions, backend
+):
+    # Under the interpreter lock a question thread overlaps nothing, so at
+    # workers 2 the rule backend's run used to be slower, never faster.
+    fields = {"strategies": "all"}
+    if backend == "script":
+        # concat abstains, so concat_pf falls back; pf:1 abstains, so distill
+        # sees only some of the passages
+        replies = {"concat": "unknown", "pf:1": "unknown"}
+        script = tmp_path / "script.jsonl"
+        script.write_text("".join(
+            json.dumps({"question_id": q.question_id, "exchange_key": key,
+                        "response": replies.get(key, q.gold_answers[0])}) + "\n"
+            for q in toy_questions
+            for key in ("concat", "pruning", "summary", "distill", "pf:0", "pf:1", "pf:2")
+        ), encoding="utf-8")
+        fields.update(backend="script", script=script)
+    threads, place = [], cli.apply_gold_placement
 
-    def counted_place(*args):
-        with lock:
-            started[0] += 1
-            ahead.append(started[0] - written[0])
+    def recorded_place(*args):
+        threads.append(threading.current_thread())
         return place(*args)
 
-    def slow_to_dict(record):
-        time.sleep(0.01)
-        with lock:
-            written[0] += 1
-        return to_dict(record)
-
-    monkeypatch.setattr(cli, "apply_gold_placement", counted_place)
-    monkeypatch.setattr(cli, "record_to_dict", slow_to_dict)
-    cmd_run(run_config(tmp_path, strategies="concat", workers=workers))
-    assert started[0] == written[0] == 20
-    assert max(ahead) <= 2 * workers
+    monkeypatch.setattr(cli, "apply_gold_placement", recorded_place)
+    runs = {}
+    for workers in (1, 4):
+        out = tmp_path / f"workers{workers}"
+        config_path = write_config(tmp_path / "run.yaml", out=out, workers=workers, **fields)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 0
+        runs[workers] = capsys.readouterr().out.replace(str(out), "<out>"), run_artifacts(out)
+    assert threads == [threading.main_thread()] * 40
+    assert runs[4] == runs[1]
 
 
 def usage_lines(capsys) -> list[str]:
     return [line for line in capsys.readouterr().out.splitlines() if line.startswith("usage:")]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_toy_run_bills_each_distinct_exchange_once(tmp_path, capsys, monkeypatch, workers):
+def test_toy_run_bills_each_distinct_exchange_once(tmp_path, capsys, monkeypatch):
     billed = []
     respond = RuleClient._respond
     monkeypatch.setattr(
         RuleClient, "_respond", lambda self, request: billed.append(request) or respond(self, request)
     )
-    config_path = write_config(
-        tmp_path / "run.yaml", out=tmp_path / "out", strategies="all", workers=workers
-    )
+    config_path = write_config(tmp_path / "run.yaml", out=tmp_path / "out", strategies="all")
     assert main(["run", "--config", str(config_path)]) == 0
     assert len(billed) == 133
     assert sum(count_tokens(request.prompt_text) for request in billed) == 22793
@@ -1213,7 +1211,8 @@ def test_an_input_fault_stops_a_sweep_in_its_first_mode_with_one_error_line(
 def test_a_gold_passage_missing_from_the_corpus_stops_the_run_before_any_call(
     tmp_path, capsys, monkeypatch, placement, gold
 ):
-    rows = [json.loads(line) for line in (FIXTURES / "toy_questions.jsonl").open(encoding="utf-8")]
+    lines = (FIXTURES / "toy_questions.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
     rows[5]["gold_passage_id"] = gold  # q06
     if gold is None:
         del rows[5]["gold_passage_id"]
@@ -1520,6 +1519,37 @@ def test_a_live_run_sends_a_questions_first_round_at_once(tmp_path, capsys, work
     assert endpoint.peak == 4
 
 
+def test_workers_run_at_most_a_window_of_questions_ahead_of_the_writer(tmp_path, monkeypatch):
+    # The pool used to take every question at once, so behind a slow writer
+    # finished questions piled up in memory. Only a live run has the pool.
+    workers = 2
+    lock = threading.Lock()
+    started, written, ahead = [0], [0], []
+    place, to_dict = cli.apply_gold_placement, cli.record_to_dict
+
+    def counted_place(*args):
+        with lock:
+            started[0] += 1
+            ahead.append(started[0] - written[0])
+        return place(*args)
+
+    def slow_to_dict(record):
+        time.sleep(0.01)
+        with lock:
+            written[0] += 1
+        return to_dict(record)
+
+    monkeypatch.setattr(cli, "apply_gold_placement", counted_place)
+    monkeypatch.setattr(cli, "record_to_dict", slow_to_dict)
+    config_path = write_config(
+        tmp_path / "run.yaml", out=tmp_path / "out", strategies="concat", workers=workers, **_LIVE
+    )
+    with mock.patch.object(llm, "_http_transport", lambda *args: FlakyEndpoint()):
+        assert main(["run", "--config", str(config_path)]) == 0
+    assert started[0] == written[0] == 20
+    assert 1 < max(ahead) <= 2 * workers
+
+
 @pytest.mark.parametrize("strategies", ["all", "pf_concat,concat"])
 def test_sending_ahead_leaves_every_artifact_and_the_printed_lines_unchanged(
     tmp_path, capsys, strategies
@@ -1651,8 +1681,7 @@ def test_crashed_run_keeps_the_completed_rows_and_a_failed_manifest(tmp_path, ca
     assert [row.split(",")[1] for row in tokens[1:]] == ["q1"] * 6
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_an_interrupted_run_leaves_a_failed_manifest(tmp_path, monkeypatch, workers):
+def test_an_interrupted_run_leaves_a_failed_manifest(tmp_path, monkeypatch):
     respond, reached, lock = RuleClient._respond, [], threading.Lock()
 
     def interrupted(self, request):
@@ -1664,7 +1693,7 @@ def test_an_interrupted_run_leaves_a_failed_manifest(tmp_path, monkeypatch, work
 
     monkeypatch.setattr(RuleClient, "_respond", interrupted)
     out = tmp_path / "out"
-    config_path = write_config(tmp_path / "run.yaml", out=out, strategies="all", workers=workers)
+    config_path = write_config(tmp_path / "run.yaml", out=out, strategies="all")
     with pytest.raises(KeyboardInterrupt):
         main(["run", "--config", str(config_path)])
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -1727,35 +1756,62 @@ class SignallingEndpoint(http.server.ThreadingHTTPServer):
 
 class LiveToy(NamedTuple):
     endpoint: SignallingEndpoint
-    config_path: Path
+    argv: list[str]
     out: Path
     cache_path: Path
     artifacts: dict[str, bytes]
     cached: list[str]
+    sent: int  # the requests of an uninterrupted run, each distinct
+    in_flight: int  # the most requests the command has on the wire at once
+
+
+# Each form of the toy live command: the command and its config fields. filter
+# sends one probe at a time, whatever max_in_flight says.
+_LIVE_TOYS = {
+    "workers2": ("run", {"workers": 2}),
+    "workers1": ("run", {"workers": 1}),
+    "sweep": ("run", {"workers": 2, "placement": "sweep"}),
+    "filter": ("filter", {}),
+}
 
 
 @pytest.fixture(scope="module")
-def live_toy(tmp_path_factory):
-    """The toy run (no_gold, k 3, every strategy) on the live backend against
-    a SignallingEndpoint, at workers 2 and max_in_flight 2, with a cache; and
-    the artifacts and sorted cache lines of one uninterrupted run of it."""
+def live_toys(tmp_path_factory):
+    """Gives each form of _LIVE_TOYS on the toy fixture (no_gold, k 3, every
+    strategy) on the live backend against one SignallingEndpoint, at
+    max_in_flight 2, with a cache; with the artifacts and sorted cache lines of
+    one uninterrupted run of it, made the first time the form is asked for."""
     root = tmp_path_factory.mktemp("live_toy")
     server = SignallingEndpoint()
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    out, cache_path = root / "out", root / "cache.jsonl"
-    config_path = write_config(
-        root / "run.yaml", out=out, strategies="all", backend="live", endpoint=server.url,
-        model="m", workers=2, max_in_flight=2, cache=cache_path,
-    )
+    made: dict[str, LiveToy] = {}
+
+    def live_toy(form: str) -> LiveToy:
+        if form not in made:
+            command, fields = _LIVE_TOYS[form]
+            (root / form).mkdir()
+            out, cache_path = root / form / "out", root / form / "cache.jsonl"
+            config_path = write_config(
+                root / form / "run.yaml", out=out, strategies="all", backend="live",
+                endpoint=server.url, model="m", max_in_flight=2, cache=cache_path, **fields,
+            )
+            argv = [command, "--config", str(config_path)]
+            sent_before = len(server.prompts)
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            sent = server.prompts[sent_before:]
+            assert len(set(sent)) == len(sent)  # each distinct request once
+            cached = sorted(cache_path.read_text(encoding="utf-8").splitlines())
+            made[form] = LiveToy(
+                server, argv, out, cache_path, run_artifacts(out), cached, len(sent),
+                1 if command == "filter" else 2,
+            )
+        return made[form]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("no_proxy", "127.0.0.1")  # the children inherit it
-        with redirect_stdout(io.StringIO()):
-            assert main(["run", "--config", str(config_path)]) == 0
-        assert len(server.prompts) == 133  # the distinct requests
-        artifacts = {path.name: path.read_bytes() for path in out.iterdir()}
-        cached = sorted(cache_path.read_text(encoding="utf-8").splitlines())
-        yield LiveToy(server, config_path, out, cache_path, artifacts, cached)
+        yield live_toy
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
@@ -1763,9 +1819,9 @@ def live_toy(tmp_path_factory):
 
 
 def run_killed(toy: LiveToy, signum: int, at, reply: bool) -> tuple[int, str]:
-    """Run ``ragfuse run`` in a child that the endpoint signals; its exit code and stderr."""
+    """Run the toy's command in a child that the endpoint signals; its exit code and stderr."""
     child = subprocess.Popen(
-        [sys.executable, "-m", "ragfuse.cli", "run", "--config", str(toy.config_path)],
+        [sys.executable, "-m", "ragfuse.cli", *toy.argv],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=checkout_env(), text=True,
     )
     toy.endpoint.arm(child, signum, at, reply)
@@ -1782,14 +1838,14 @@ def at_request(n: int):
 
 
 @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
-def test_a_killed_rerun_leaves_no_complete_manifest_or_stale_report(live_toy, signum):
+def test_a_killed_rerun_leaves_no_complete_manifest_or_stale_report(live_toys, signum):
     # A rerun into a finished run's out used to leave its complete manifest
     # and full report beside the rerun's partial rows.
-    shutil.rmtree(live_toy.out)
-    live_toy.out.mkdir()
-    for name, data in live_toy.artifacts.items():
-        (live_toy.out / name).write_bytes(data)
-    live_toy.cache_path.unlink(missing_ok=True)  # so that the rerun sends its calls again
+    live_toy = live_toys("workers2")
+    assert live_toy.sent == 133
+    with redirect_stdout(io.StringIO()):  # a finished run's out
+        assert main(live_toy.argv) == 0
+    live_toy.cache_path.unlink()  # so that the rerun sends its calls again
     code, err = run_killed(live_toy, signum, at_request(40), reply=True)
     out = live_toy.out
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -1809,35 +1865,53 @@ def _is_distill(prompt: str) -> bool:
     return "\nCandidates: " in prompt
 
 
+def kill_at(point: str, sent: int):
+    """The endpoint's trigger for a kill at ``point`` of a command that sends
+    ``sent`` requests uninterrupted."""
+    middle = min(40, sent // 2)
+    return {
+        "first": at_request(1),
+        # With every strategy configured, each call of a run but distill is first-round.
+        "middle": lambda count, prompt: count >= middle and not _is_distill(prompt),
+        "distill": lambda count, prompt: count >= middle and _is_distill(prompt),
+        "last": at_request(sent),
+    }[point]
+
+
 @pytest.mark.parametrize(
-    "at, torn",
+    "form, point, torn",
     [
-        (at_request(1), False),
-        # With every strategy configured, each call but distill is first-round.
-        (lambda count, prompt: count >= 40 and not _is_distill(prompt), False),
-        (lambda count, prompt: count >= 40 and _is_distill(prompt), False),
-        (lambda count, prompt: count >= 40 and _is_distill(prompt), True),
-        (at_request(133), False),
+        pytest.param(form, point, torn, id=f"{form}-{point}" + "_torn_row" * torn)
+        for form, torn_at in (
+            ("workers2", "distill"), ("workers1", "distill"), ("sweep", "distill"),
+            ("filter", "middle"),  # a probe has no distill
+        )
+        for point, torn in (
+            ("first", False), ("middle", False), ("distill", False), (torn_at, True),
+            ("last", False),
+        )
+        if form != "filter" or point != "distill"
     ],
-    ids=["first", "first_round", "distill", "distill_torn_row", "last"],
 )
-def test_a_killed_live_run_resumes_without_paying_twice(live_toy, at, torn):
+def test_a_killed_live_run_resumes_without_paying_twice(live_toys, form, point, torn):
+    live_toy = live_toys(form)
     shutil.rmtree(live_toy.out, ignore_errors=True)
     live_toy.cache_path.unlink(missing_ok=True)
     sent_before = len(live_toy.endpoint.prompts)
-    code, _ = run_killed(live_toy, signal.SIGKILL, at, reply=False)
+    code, _ = run_killed(live_toy, signal.SIGKILL, kill_at(point, live_toy.sent), reply=False)
     assert code == -signal.SIGKILL
     if torn:  # what a kill in the middle of an append leaves
         with live_toy.cache_path.open("a", encoding="utf-8") as handle:
             handle.write('{"completion_tokens": 1, "key": "')
     resumed = subprocess.run(
-        [sys.executable, "-m", "ragfuse.cli", "run", "--config", str(live_toy.config_path)],
+        [sys.executable, "-m", "ragfuse.cli", *live_toy.argv],
         capture_output=True, env=checkout_env(), text=True, timeout=120,
     )
     assert resumed.returncode == 0, resumed.stderr
-    # At most the max_in_flight calls under way at the kill are paid twice.
-    assert len(live_toy.endpoint.prompts) - sent_before <= 133 + 2
-    assert {path.name: path.read_bytes() for path in live_toy.out.iterdir()} == live_toy.artifacts
+    # At most the calls on the wire at the kill are paid twice.
+    sent = len(live_toy.endpoint.prompts) - sent_before
+    assert sent <= live_toy.sent + live_toy.in_flight
+    assert run_artifacts(live_toy.out) == live_toy.artifacts
     cached = sorted(live_toy.cache_path.read_text(encoding="utf-8").splitlines())
     assert cached == live_toy.cached
 
