@@ -45,6 +45,7 @@ from .llm import (
     ScriptClient,
     ScriptError,
     TransportError,
+    check_api_key,
     check_endpoint,
     check_live_settings,
     check_max_response_tokens,
@@ -152,6 +153,7 @@ class RunConfig(RetrievalConfig):
             if not self.endpoint or not self.model:
                 raise ValueError("live backend needs both endpoint and model")
             check_endpoint(self.endpoint)
+            check_api_key(os.environ.get(self.api_key_env), self.api_key_env)
             check_live_settings(self.timeout, self.max_in_flight)
         check_max_response_tokens(self.max_response_tokens)
         self.policy()  # UnknownPolicy rejects a blank sentinel or pattern

@@ -136,7 +136,7 @@ _QUESTION_ROW = {
 }
 
 
-def _breaks_line(text: str) -> bool:
+def breaks_line(text: str) -> bool:
     """Whether text holds a character on which str.splitlines breaks. Prompts
     give each title and question one line, so such a character would split it."""
     return "".join(text.splitlines()) != text
@@ -147,7 +147,7 @@ def load_corpus(path: str | Path) -> list[Document]:
     documents = []
     seen: set[str] = set()
     for lineno, row in read_rows(path, _DOCUMENT_ROW):
-        if _breaks_line(row["title"]):
+        if breaks_line(row["title"]):
             raise CorpusError(f"{path}:{lineno}: title holds a line break")
         if row["id"] in seen:
             raise CorpusError(f"{path}:{lineno}: duplicate document id {row['id']!r}")
@@ -164,7 +164,7 @@ def load_questions(path: str | Path) -> list[Question]:
     for lineno, row in read_rows(path, _QUESTION_ROW, optional=("gold_passage_id",)):
         if not row["question"].strip():
             raise CorpusError(f"{path}:{lineno}: question text is blank")
-        if _breaks_line(row["question"]):
+        if breaks_line(row["question"]):
             raise CorpusError(f"{path}:{lineno}: question text holds a line break")
         if not row["answers"]:
             raise CorpusError(f"{path}:{lineno}: answers must be a non-empty list")

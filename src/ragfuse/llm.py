@@ -286,12 +286,27 @@ _RETRY_DELAYS = (1.0, 2.0, 4.0)
 
 
 def check_endpoint(endpoint: str) -> None:
-    """An http(s) URL with a host. The transport picks its connection class by
-    the scheme alone, so it would send any other scheme (ftp:, a typo) as
-    plain HTTP, and a URL without a host names no address to connect to."""
+    """An http(s) URL with a host and no user or password. The transport picks
+    its connection class by the scheme alone, so it would send any other
+    scheme (ftp:, a typo) as plain HTTP, a URL without a host names no address
+    to connect to, and user:pass@ would be dialled as part of the host name.
+    The message for credentials does not repeat them, also when the scheme is
+    missing (user:pass@host/v1)."""
+    if "@" in urllib.parse.urlsplit(endpoint if "//" in endpoint else f"//{endpoint}").netloc:
+        raise ValueError(
+            "endpoint must hold no user name or password: the API key goes in the "
+            "environment variable that api_key_env names"
+        )
     parts = urllib.parse.urlsplit(endpoint)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"endpoint must be an http:// or https:// URL with a host: {endpoint!r}")
+
+
+def check_api_key(api_key: str | None, name: str = "api_key") -> None:
+    """An HTTP header carries printable ASCII only. The message names the key
+    by ``name`` and never repeats it, so no error line or manifest holds it."""
+    if api_key and not (api_key.isascii() and api_key.isprintable()):
+        raise ValueError(f"{name} must be printable ASCII, as an HTTP header requires")
 
 
 def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Transport:
@@ -324,6 +339,7 @@ def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Trans
         "User-Agent": f"Python-urllib/{urllib.request.__version__}",
     }
     if api_key:
+        check_api_key(api_key)
         headers["Authorization"] = f"Bearer {api_key}"
     address, tunnel_headers = parts.netloc, None
     proxy = urllib.request.getproxies().get(parts.scheme)

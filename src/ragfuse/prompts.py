@@ -11,7 +11,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-from .corpus import Passage, Question
+from .corpus import Passage, Question, breaks_line
 
 TEMPLATE_VERSION = "1"
 
@@ -44,6 +44,8 @@ class UnknownPolicy:
                 f"unknown_sentinel must be non-empty once case, surrounding space and "
                 f"trailing punctuation are dropped, got {self.sentinel!r}"
             )
+        if breaks_line(self.sentinel):  # every prompt puts it in an instruction line
+            raise ValueError(f"unknown_sentinel must be one line, got {self.sentinel!r}")
         if not all(pattern.strip() for pattern in self.extra_patterns):
             raise ValueError("unknown_patterns entries must be non-blank")
         object.__setattr__(self, "normalized_sentinel", normalized)

@@ -71,10 +71,10 @@ class RetrievalConfig:
 
 @dataclass(frozen=True)
 class RankedList:
-    entries: tuple[tuple[str, float], ...]
+    ids: tuple[str, ...]
 
     def passage_ids(self) -> list[str]:
-        return [pid for pid, _ in self.entries]
+        return list(self.ids)
 
 
 def tokenize(text: str) -> list[str]:
@@ -131,13 +131,13 @@ class Bm25Index:
             slot_lengths.append(len(tokens))
             for term in tokens if keep is None else filter(keep, tokens):
                 occurrences[term].append(slot)
-        self.avg_length = sum(slot_lengths) / len(slot_lengths)
+        avg_length = sum(slot_lengths) / len(slot_lengths)
         self._postings: dict[str, tuple[array, array]] = {}
-        if not self.avg_length:  # a corpus without a single token has no postings
+        if not avg_length:  # a corpus without a single token has no postings
             return
         # k1 * length_norm is the scorer's own subexpression, so each weight
         # is bitwise the term's contribution in the BM25 formula.
-        k1_norms = [k1 * (1.0 - b + b * length / self.avg_length) for length in slot_lengths]
+        k1_norms = [k1 * (1.0 - b + b * length / avg_length) for length in slot_lengths]
         # Each factor of a weight, idf * tf * (k1 + 1.0) / (tf + k1_norm),
         # is largest at df 1 and at the longest passage's length and norm.
         longest = max(slot_lengths)
@@ -197,26 +197,26 @@ def build_index(
 
 
 def retrieve_top_k(index: Bm25Index, query: str, k: int) -> RankedList:
-    """Return the k highest-scoring passages, score-descending.
+    """Return the ids of the k highest-scoring passages, score-descending.
 
     All passages are rankable (zero-score passages included); ties break by
-    passage_id ascending. Returns min(k, N) entries. Costs the postings of
-    the query's terms plus O(M log k) to select among the M passages they
-    touch; when M < k the remaining entries are zero-score passages in
-    ascending passage_id order.
+    passage_id ascending. Returns min(k, N) ids. Costs the postings of the
+    query's terms plus O(M log k) to select among the M passages they touch;
+    when M < k the remaining ids are zero-score passages in ascending
+    passage_id order.
     """
     check_k(k)
     scored = index.slot_scores(query)
     # Slots follow passage_id order, so (-score, slot) is (-score, passage_id).
     top = heapq.nsmallest(k, zip(map(operator.neg, scored.values()), scored))
     ids = index.passage_ids
-    entries = [(ids[slot], -negated) for negated, slot in top]
+    ranked = [ids[slot] for _, slot in top]
     slot = 0
-    while len(entries) < k and slot < len(ids):
+    while len(ranked) < k and slot < len(ids):
         if slot not in scored:
-            entries.append((ids[slot], 0.0))
+            ranked.append(ids[slot])
         slot += 1
-    return RankedList(tuple(entries))
+    return RankedList(tuple(ranked))
 
 
 def apply_gold_placement(
@@ -224,12 +224,11 @@ def apply_gold_placement(
 ) -> RankedList:
     """Reposition or insert the question's gold passage per the placement mode.
 
-    When the gold passage is absent it is inserted, and the lowest-ranked
-    entry is evicted only if the list already holds k entries, so the result
-    keeps min(k, len + 1) entries with the gold passage exactly once.
-    Inserted entries carry a 0.0 score sentinel since the retriever never
-    scored them. An empty ranking has no position to place gold in, and is
-    an error in every mode but no_gold.
+    When the gold passage is absent it is inserted, and the lowest-ranked id
+    is evicted only if the ranking already holds k ids, so the result keeps
+    min(k, len + 1) ids with the gold passage exactly once. An empty ranking
+    has no position to place gold in, and is an error in every mode but
+    no_gold.
     """
     mode = PlacementMode(config.placement)
     if mode is PlacementMode.NO_GOLD:
@@ -240,33 +239,30 @@ def apply_gold_placement(
             f"placement mode {mode.value} requires a gold_passage_id "
             f"(question {question.question_id!r})"
         )
-    if not ranked.entries:
+    if not ranked.ids:
         raise ValueError(
             f"placement mode {mode.value} needs a non-empty ranking "
             f"(question {question.question_id!r} has no ranked passages)"
         )
-    entries = list(ranked.entries)
-    present = [i for i, (pid, _) in enumerate(entries) if pid == gold_id]
-    if present:
+    ids = list(ranked.ids)
+    if gold_id in ids:
         if mode in (PlacementMode.RETRIEVAL_ORDER, PlacementMode.GOLD_RANDOM):
             return ranked
-        gold_entry = entries.pop(present[0])
-    else:
-        gold_entry = (gold_id, 0.0)
-        if len(entries) >= config.k:
-            entries.pop()
+        ids.remove(gold_id)
+    elif len(ids) >= config.k:
+        ids.pop()
     if mode is PlacementMode.GOLD_TOP:
         position = 0
     elif mode is PlacementMode.GOLD_BOTTOM:
-        position = len(entries)
+        position = len(ids)
     else:
         # Only an absent gold passage gets here in RETRIEVAL_ORDER or
         # GOLD_RANDOM: a seed-deterministic uniform position, drawn per
         # question so reruns are identical.
         rng = random.Random(f"{config.seed}:{question.question_id}")
-        position = rng.randrange(len(entries) + 1)
-    entries.insert(position, gold_entry)
-    return RankedList(tuple(entries))
+        position = rng.randrange(len(ids) + 1)
+    ids.insert(position, gold_id)
+    return RankedList(tuple(ids))
 
 
 _RANKING_ROW = {"question_id": (str,), "ranked_passage_ids": (list,)}
@@ -288,10 +284,9 @@ def load_rankings(path: str | Path) -> dict[str, list[str]]:
 
 
 def ranked_list_from_ids(question_id: str, passage_ids: list[str], k: int) -> RankedList:
-    """Build a RankedList from externally supplied ids (reciprocal-rank scores)."""
+    """Build a RankedList from the first k of externally supplied ids."""
     check_k(k)
-    top = passage_ids[:k]
+    top = tuple(passage_ids[:k])
     if len(set(top)) != len(top):
         raise ValueError(f"duplicate passage ids in ranking for question {question_id!r}")
-    entries = tuple((pid, 1.0 / (i + 1)) for i, pid in enumerate(top))
-    return RankedList(entries)
+    return RankedList(top)

@@ -690,6 +690,15 @@ def test_http_transport_posts_the_payload_and_reads_provider_usage(endpoint):
     }
 
 
+@pytest.mark.parametrize("api_key", ["sk-SECRET123\r", "sk-SECRET123\n x", "sk-SECRETé"])
+def test_a_key_no_http_header_can_carry_is_refused_before_any_request(endpoint, api_key):
+    # http.client would refuse it per request, with the key in its message.
+    with pytest.raises(ValueError, match="^api_key must be printable ASCII") as raised:
+        http_client(endpoint.url, api_key=api_key)
+    assert "SECRET" not in str(raised.value)
+    assert endpoint.accepted == 0
+
+
 def test_http_transport_client_error_fails_at_once(endpoint):
     endpoint.replies = [json_reply(404, {"error": "no such model"})]
     client, sleeps = http_client(endpoint.url)

@@ -37,7 +37,6 @@ def texts_of(passages) -> dict[str, str]:
 def test_index_counts_documents_and_term_frequencies():
     index = build_index(THREE)
     assert index.passage_ids == ["p1", "p2", "p3"]
-    assert index.avg_length == 5.0
     # slot_scores holds exactly the passages containing the term: its size is
     # the hand-counted document frequency
     assert {term: len(index.slot_scores(term)) for term in ("cat", "sat", "the", "dogs")} == {
@@ -81,23 +80,23 @@ def test_three_passage_scores_match_hand_derived_values():
 
 def test_no_shared_terms_gives_zero_scores_in_id_order():
     index = build_index(THREE)
+    assert index.scores("zebra quark") == {"p1": 0.0, "p2": 0.0, "p3": 0.0}
     ranked = retrieve_top_k(index, "zebra quark", k=3)
-    assert [score for _, score in ranked.entries] == [0.0, 0.0, 0.0]
     assert ranked.passage_ids() == ["p1", "p2", "p3"]
 
 
 def test_duplicate_texts_tie_break_by_id():
     index = build_index([make_passage("z", "alpha beta"), make_passage("a", "alpha beta")])
-    ranked = retrieve_top_k(index, "alpha", k=2)
-    scores = dict(ranked.entries)
+    scores = index.scores("alpha")
     assert scores["a"] == scores["z"]
+    ranked = retrieve_top_k(index, "alpha", k=2)
     assert ranked.passage_ids() == ["a", "z"]
 
 
 def test_retrieve_returns_min_k_n_and_rejects_bad_k():
     index = build_index(THREE)
-    assert len(retrieve_top_k(index, "cat", k=10).entries) == 3
-    assert len(retrieve_top_k(index, "cat", k=2).entries) == 2
+    assert len(retrieve_top_k(index, "cat", k=10).passage_ids()) == 3
+    assert len(retrieve_top_k(index, "cat", k=2).passage_ids()) == 2
     with pytest.raises(ValueError):
         retrieve_top_k(index, "cat", k=0)
 
@@ -123,8 +122,9 @@ def test_disjoint_passage_scores_zero_and_ranks_below_matches():
     # a query term scores > 0 (this idf form is strictly positive), so the
     # disjoint passage always lands below every match.
     extra = THREE + [make_passage("p4", "quasar nebula comet")]
-    ranked = retrieve_top_k(build_index(extra), "cat sat", k=4)
-    scores = dict(ranked.entries)
+    index = build_index(extra)
+    ranked = retrieve_top_k(index, "cat sat", k=4)
+    scores = index.scores("cat sat")
     assert scores["p4"] == 0.0
     assert all(scores[pid] > 0.0 for pid in ("p1", "p2"))
     assert ranked.passage_ids().index("p4") > ranked.passage_ids().index("p2")
@@ -165,8 +165,8 @@ def test_present_gold_moves_to_top_or_bottom():
     bottom = apply_gold_placement(ranked, question, config_for(PlacementMode.GOLD_BOTTOM))
     assert top.passage_ids()[0] == gold
     assert bottom.passage_ids()[-1] == gold
-    # the gold entry keeps its retrieval score: nothing was inserted
-    assert sorted(top.entries) == sorted(bottom.entries) == sorted(ranked.entries)
+    # the gold passage moved: nothing was inserted or evicted
+    assert sorted(top.ids) == sorted(bottom.ids) == sorted(ranked.ids)
 
 
 def test_present_gold_unmoved_in_retrieval_order_and_random():
@@ -175,7 +175,7 @@ def test_present_gold_unmoved_in_retrieval_order_and_random():
     question = make_question("q", "x", ("y",), gold=gold)
     for mode in (PlacementMode.RETRIEVAL_ORDER, PlacementMode.GOLD_RANDOM):
         placed = apply_gold_placement(ranked, question, config_for(mode))
-        assert placed.entries == ranked.entries
+        assert placed.ids == ranked.ids
 
 
 def test_absent_gold_evicts_last_and_inserts():
@@ -188,9 +188,8 @@ def test_absent_gold_evicts_last_and_inserts():
     assert top.passage_ids()[0] == "p7"
     assert bottom.passage_ids()[-1] == "p7"
     for placed in (top, bottom):
-        assert len(placed.entries) == len(ranked.entries)
+        assert len(placed.ids) == len(ranked.ids)
         assert evicted not in placed.passage_ids()
-        assert dict(placed.entries)["p7"] == 0.0
 
 
 def test_absent_gold_random_insertion_is_seed_deterministic():
@@ -200,8 +199,7 @@ def test_absent_gold_random_insertion_is_seed_deterministic():
         first = apply_gold_placement(ranked, question, config_for(mode, seed=3))
         second = apply_gold_placement(ranked, question, config_for(mode, seed=3))
         assert first.passage_ids() == second.passage_ids()
-        assert dict(first.entries)["p7"] == 0.0  # the inserted entry's sentinel score
-        assert len(first.entries) == len(ranked.entries)
+        assert len(first.ids) == len(ranked.ids)
     positions = {
         apply_gold_placement(ranked, question, config_for(PlacementMode.GOLD_RANDOM, seed=s))
         .passage_ids()
@@ -235,50 +233,48 @@ def test_gold_present_exactly_once_after_any_mode():
             assert placed.passage_ids().count(question.gold_passage_id) == 1
 
 
-def placement_reference(entries, gold, mode, k, seed, question_id):
+def placement_reference(ids, gold, mode, k, seed, question_id):
     """README's placement rule, written out on its own. A gold passage already
-    ranked keeps its score: it moves to the first or the last slot, and stays
-    put in retrieval order and gold_random. An absent one enters with score
-    0.0, evicting the last entry only when the ranking holds k, at the first
-    or last slot, or else at a position seeded by the seed and question id."""
+    ranked moves to the first or the last slot, and stays put in retrieval
+    order and gold_random. An absent one enters, evicting the last id only
+    when the ranking holds k, at the first or last slot, or else at a
+    position seeded by the seed and question id."""
     if mode == "no_gold":
-        return entries
-    ids = [pid for pid, _ in entries]
+        return ids
     if gold in ids:
         if mode in ("retrieval_order", "gold_random"):
-            return entries
-        held = entries[ids.index(gold)]
-        others = [entry for entry in entries if entry[0] != gold]
-        return [held, *others] if mode == "gold_top" else [*others, held]
-    kept = entries[: k - 1] if len(entries) == k else entries
+            return ids
+        others = [pid for pid in ids if pid != gold]
+        return [gold, *others] if mode == "gold_top" else [*others, gold]
+    kept = ids[: k - 1] if len(ids) == k else ids
     if mode == "gold_top":
-        return [(gold, 0.0), *kept]
+        return [gold, *kept]
     if mode == "gold_bottom":
-        return [*kept, (gold, 0.0)]
+        return [*kept, gold]
     slot = random.Random(f"{seed}:{question_id}").randrange(len(kept) + 1)
-    return [*kept[:slot], (gold, 0.0), *kept[slot:]]
+    return [*kept[:slot], gold, *kept[slot:]]
 
 
 def test_gold_placement_matches_an_independent_reference():
     cases = 0
     for k, length in ((k, length) for k in range(1, 6) for length in range(k + 1)):
         ranked = ranked_list_from_ids("q", [f"p{i}" for i in range(length)], k)
-        entries = list(ranked.entries)
+        ids = ranked.passage_ids()
         # Gold absent, then gold at each index of the ranking.
-        golds = ["gold", *(pid for pid, _ in entries)]
+        golds = ["gold", *ids]
         for gold, question_id, mode, seed in itertools.product(
             golds, ("q1", "question-2"), PlacementMode, range(10)
         ):
             cases += 1
             question = make_question(question_id, "x", ("y",), gold=gold)
             config = RetrievalConfig(k=k, placement=mode.value, seed=seed)
-            if not entries and mode is not PlacementMode.NO_GOLD:
+            if not ids and mode is not PlacementMode.NO_GOLD:
                 with pytest.raises(ValueError, match="non-empty ranking"):
                     apply_gold_placement(ranked, question, config)
                 continue
-            expected = placement_reference(entries, gold, mode.value, k, seed, question_id)
-            placed = apply_gold_placement(ranked, question, config).entries
-            assert list(placed) == expected, (k, entries, gold, question_id, mode, seed)
+            expected = placement_reference(ids, gold, mode.value, k, seed, question_id)
+            placed = apply_gold_placement(ranked, question, config).passage_ids()
+            assert placed == expected, (k, ids, gold, question_id, mode, seed)
     assert cases == 5500
 
 
@@ -318,10 +314,9 @@ def test_load_rankings_errors_name_lines(tmp_path):
         load_rankings(path)
 
 
-def test_ranked_list_from_ids_truncates_and_scores_reciprocally():
+def test_ranked_list_from_ids_truncates_and_rejects_duplicates():
     ranked = ranked_list_from_ids("q", ["a", "b", "c", "d"], k=3)
     assert ranked.passage_ids() == ["a", "b", "c"]
-    assert [score for _, score in ranked.entries] == [1.0, 0.5, pytest.approx(1 / 3)]
     with pytest.raises(ValueError, match="duplicate"):
         ranked_list_from_ids("q", ["a", "a"], k=3)
 

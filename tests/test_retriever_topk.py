@@ -40,35 +40,35 @@ GOLD_MODES = (
 
 
 def assert_matches_oracle(passages, query: str, k: int) -> None:
-    """Entries equal the oracle's ranking prefix, with bitwise-equal scores."""
+    """Ids equal the oracle's ranking prefix, and scores are bitwise the oracle's."""
     texts = {p.passage_id: p.text for p in passages}
     index = build_index(passages)
     expected_scores = bm25_scores(texts, query)
     expected = bm25_rank(texts, query)[:k]
     ranked = retrieve_top_k(index, query, k)
     assert ranked.passage_ids() == expected
-    assert [score for _, score in ranked.entries] == [expected_scores[pid] for pid in expected]
     assert index.scores(query) == expected_scores
 
 
 def test_fewer_matches_than_k_fills_with_zero_scores_in_id_order():
     # "cat" occurs in p0 and p5 only; the other four slots are zero-filled.
-    ranked = retrieve_top_k(build_index(SIX), "cat", k=4)
+    index = build_index(SIX)
+    ranked = retrieve_top_k(index, "cat", k=4)
     assert ranked.passage_ids() == ["p0", "p5", "p1", "p2"]
-    assert [score for _, score in ranked.entries][2:] == [0.0, 0.0]
+    assert [index.scores("cat")[pid] for pid in ("p1", "p2")] == [0.0, 0.0]
     assert_matches_oracle(SIX, "cat", 4)
 
 
 @pytest.mark.parametrize("k", [len(SIX), len(SIX) + 3])
 def test_k_at_least_n_returns_every_passage(k):
-    assert len(retrieve_top_k(build_index(SIX), "the cat", k).entries) == len(SIX)
+    assert len(retrieve_top_k(build_index(SIX), "the cat", k).passage_ids()) == len(SIX)
     assert_matches_oracle(SIX, "the cat", k)
 
 
 def test_repeated_query_terms_add_their_weight_again():
     index = build_index(SIX)
-    once = dict(retrieve_top_k(index, "cat sat", k=6).entries)
-    repeated = dict(retrieve_top_k(index, "cat sat cat CAT", k=6).entries)
+    once = index.scores("cat sat")
+    repeated = index.scores("cat sat cat CAT")
     assert repeated["p0"] > once["p0"]
     for k in (1, 3, 6):
         assert_matches_oracle(SIX, "cat sat cat CAT", k)
@@ -76,24 +76,25 @@ def test_repeated_query_terms_add_their_weight_again():
 
 @pytest.mark.parametrize("query", ["zebra quark", "", "?!"])
 def test_query_without_indexed_terms_ranks_by_id(query):
-    ranked = retrieve_top_k(build_index(SIX), query, k=3)
-    assert ranked.entries == (("p0", 0.0), ("p1", 0.0), ("p2", 0.0))
+    index = build_index(SIX)
+    assert set(index.scores(query).values()) == {0.0}
+    assert retrieve_top_k(index, query, k=3).passage_ids() == ["p0", "p1", "p2"]
     assert_matches_oracle(SIX, query, 3)
 
 
 def test_all_tied_scores_break_by_id():
     passages = [make_passage(pid, "same words here") for pid in ("c", "a", "d", "b")]
-    ranked = retrieve_top_k(build_index(passages), "words", k=3)
-    assert ranked.passage_ids() == ["a", "b", "c"]
-    assert len({score for _, score in ranked.entries}) == 1
+    index = build_index(passages)
+    assert len(set(index.scores("words").values())) == 1
+    assert retrieve_top_k(index, "words", k=3).passage_ids() == ["a", "b", "c"]
     assert_matches_oracle(passages, "words", 3)
 
 
 def test_corpus_without_tokens_builds_and_scores_zero():
     passages = [make_passage("b", "..."), make_passage("a", "-- !")]
     index = build_index(passages)
-    assert index.avg_length == 0.0
-    assert retrieve_top_k(index, "anything", k=5).entries == (("a", 0.0), ("b", 0.0))
+    assert index.scores("anything") == {"a": 0.0, "b": 0.0}
+    assert retrieve_top_k(index, "anything", k=5).passage_ids() == ["a", "b"]
 
 
 def test_index_rejects_parameters_that_allow_nonpositive_weights():
@@ -112,7 +113,7 @@ def test_index_rejects_a_k1_whose_weights_overflow_on_its_longest_passage():
             build_index(SIX, k1=k1)
     # The limit depends on the corpus: one passage of one token takes 1e308.
     one = build_index([make_passage("p0", "cat")], k1=1.0e308)
-    assert retrieve_top_k(one, "cat", 1).entries[0][1] > 0
+    assert one.scores("cat")["p0"] > 0
     # Below the limit, scores stay finite and bitwise the oracle's.
     texts = {p.passage_id: p.text for p in SIX}
     huge = build_index(SIX, k1=1.0e300)
