@@ -38,6 +38,7 @@ from .evaluation import (
 from .llm import (
     BudgetError,
     CompletionClient,
+    Exchange,
     LiveClient,
     ResponseCache,
     RuleClient,
@@ -68,7 +69,7 @@ from .retriever import (
     retrieve_top_k,
     tokenize,
 )
-from .strategies import Exchange, Strategy, StrategyTrace, filter_dataset, run_strategy, send_ahead
+from .strategies import Strategy, StrategyTrace, filter_dataset, run_strategy, send_ahead
 
 _BACKENDS = ("rule", "script", "live")
 _SWEEP = "sweep"
@@ -174,7 +175,7 @@ def load_config(path: str | Path) -> RunConfig:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nesting too deep
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         detail = getattr(exc, "problem", None) or " ".join(str(exc).split())
@@ -260,14 +261,18 @@ _REPORT_COLUMNS = tuple(f.name for f in fields(StrategyReport))
 
 
 def _exchange_to_dict(exchange: Exchange, row_id: int, backend: str) -> dict:
+    """The exchanges.jsonl row. Its kind is the prompt template: every
+    ``pf:<rank>`` key is one passage's post_fusion_single prompt; any other
+    key names its own template."""
+    key = exchange.exchange_key
     return {
         "id": row_id,
-        "kind": exchange.kind,
-        "exchange_key": exchange.exchange_key,
+        "kind": "post_fusion_single" if key.startswith("pf:") else key,
+        "exchange_key": key,
         "prompt": exchange.request.prompt_text,
-        "response": exchange.response.text,
-        "prompt_tokens": exchange.response.prompt_tokens,
-        "completion_tokens": exchange.response.completion_tokens,
+        "response": exchange.text,
+        "prompt_tokens": exchange.prompt_tokens,
+        "completion_tokens": exchange.completion_tokens,
         "backend": backend,
     }
 
@@ -336,6 +341,9 @@ def cmd_filter(config: RunConfig) -> tuple[list[Question], list[Question]]:
     config.validate("filter")
     questions = _load_scorable_questions(config)
     client = make_client(config, questions)
+    # An earlier run's outputs would outlive a probe that fails.
+    for name in ("kept.jsonl", "removed.jsonl", "filter.json"):
+        (config.out / name).unlink(missing_ok=True)
     kept, removed = filter_dataset(questions, client, policy=config.policy())
     config.out.mkdir(parents=True, exist_ok=True)
     for name, half in (("kept.jsonl", kept), ("removed.jsonl", removed)):
@@ -449,8 +457,7 @@ def _run_single(
                     exchange_ids[exchange.exchange_key] = row_id
                     row = _exchange_to_dict(exchange, row_id, config.backend)
                     exchanges_file.write(_json_line(row))
-                    response = exchange.response
-                    _tally(usage["billed"], 1, response.prompt_tokens, response.completion_tokens)
+                    _tally(usage["billed"], 1, exchange.prompt_tokens, exchange.completion_tokens)
                 rows += len(exchanges)
                 for trace, record in per_question:
                     all_records.append(record)

@@ -77,10 +77,18 @@ class CompletionRequest:
 
 
 @dataclass(frozen=True)
-class CompletionResponse:
+class Exchange:
+    """One prompt/response round trip: the request as given, the reply's text
+    and its token counts."""
+
+    request: CompletionRequest
     text: str
     prompt_tokens: int
     completion_tokens: int
+
+    @property
+    def exchange_key(self) -> str | None:
+        return self.request.exchange_key
 
 
 class CompletionClient:
@@ -94,7 +102,7 @@ class CompletionClient:
         self.max_prompt_tokens = max_prompt_tokens
         self.max_response_tokens = max_response_tokens
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
+    def complete(self, request: CompletionRequest) -> Exchange:
         if not request.prompt_text.strip():
             raise ValueError("prompt_text must be non-empty")
         prompt_tokens = count_tokens(request.prompt_text)
@@ -104,7 +112,8 @@ class CompletionClient:
                 f"{self.max_prompt_tokens}"
             )
         text, reported_prompt, reported_completion = self._respond(request)
-        return CompletionResponse(
+        return Exchange(
+            request=request,
             text=text,
             prompt_tokens=reported_prompt if reported_prompt is not None else prompt_tokens,
             completion_tokens=(
@@ -285,11 +294,27 @@ Transport = Callable[[dict], tuple[int, dict]]
 _RETRY_DELAYS = (1.0, 2.0, 4.0)
 
 
+def _check_address(url: str, name: str) -> urllib.parse.SplitResult:
+    """The split url if http.client can dial and address it, else ValueError
+    naming ``name``. http.client raises InvalidURL for a port that is no
+    number and fails every connect to one above 65535; it refuses whitespace
+    and control characters, and urlsplit drops a tab or line break unsaid."""
+    if any(char.isspace() or not char.isprintable() for char in url):
+        raise ValueError(f"{name} must hold no whitespace or control characters")
+    parts = urllib.parse.urlsplit(url)
+    try:
+        parts.port
+    except ValueError:
+        raise ValueError(f"{name} must have a port in 0..65535") from None
+    return parts
+
+
 def check_endpoint(endpoint: str) -> None:
-    """An http(s) URL with a host and no user or password. The transport picks
-    its connection class by the scheme alone, so it would send any other
-    scheme (ftp:, a typo) as plain HTTP, a URL without a host names no address
-    to connect to, and user:pass@ would be dialled as part of the host name.
+    """An http(s) URL with a host, no user or password, and an address and
+    request target that http.client can send. The transport picks its
+    connection class by the scheme alone, so it would send any other scheme
+    (ftp:, a typo) as plain HTTP, a URL without a host names no address to
+    connect to, and user:pass@ would be dialled as part of the host name.
     The message for credentials does not repeat them, also when the scheme is
     missing (user:pass@host/v1)."""
     if "@" in urllib.parse.urlsplit(endpoint if "//" in endpoint else f"//{endpoint}").netloc:
@@ -300,6 +325,9 @@ def check_endpoint(endpoint: str) -> None:
     parts = urllib.parse.urlsplit(endpoint)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"endpoint must be an http:// or https:// URL with a host: {endpoint!r}")
+    _check_address(endpoint, f"endpoint {endpoint!r}")
+    if not (parts.path + parts.query).isascii():  # http.client sends the target as ASCII
+        raise ValueError(f"endpoint path and query must be ASCII: {endpoint!r}")
 
 
 def check_api_key(api_key: str | None, name: str = "api_key") -> None:
@@ -344,8 +372,10 @@ def _http_transport(endpoint: str, api_key: str | None, timeout: float) -> Trans
     address, tunnel_headers = parts.netloc, None
     proxy = urllib.request.getproxies().get(parts.scheme)
     if proxy and not urllib.request.proxy_bypass(parts.netloc):
-        # A proxy given as host:port has no scheme to split off.
-        proxy_parts = urllib.parse.urlsplit(proxy if "//" in proxy else f"//{proxy}")
+        # A proxy given as host:port has no scheme to split off. The message
+        # does not repeat the address, which may hold credentials.
+        proxy_url = proxy if "//" in proxy else f"//{proxy}"
+        proxy_parts = _check_address(proxy_url, f"the proxy address in {parts.scheme.upper()}_PROXY")
         address = proxy_parts.netloc.rpartition("@")[2]
         proxy_headers = {}
         if proxy_parts.username and proxy_parts.password:

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .corpus import Passage, Question
 from .evaluation import exact_match, normalize_answer
-from .llm import CompletionClient, CompletionRequest, CompletionResponse
+from .llm import CompletionClient, CompletionRequest, Exchange
 from .prompts import (
     DEFAULT_UNKNOWN_POLICY,
     UNKNOWN,
@@ -35,24 +35,6 @@ class Strategy(str, Enum):
     SUMMARY = "summary"
     CONCAT_PF = "concat_pf"
     PF_CONCAT = "pf_concat"
-
-
-@dataclass(frozen=True)
-class Exchange:
-    """One prompt/response round trip; its request holds its exchange key."""
-
-    request: CompletionRequest
-    response: CompletionResponse
-
-    @property
-    def exchange_key(self) -> str:
-        return self.request.exchange_key
-
-    @property
-    def kind(self) -> str:
-        """The prompt template: every ``pf:<rank>`` key is one passage's
-        post_fusion_single prompt; any other key names its own template."""
-        return "post_fusion_single" if self.exchange_key.startswith("pf:") else self.exchange_key
 
 
 @dataclass(frozen=True)
@@ -153,7 +135,7 @@ def _fetch(
         exchange_key=exchange_key,
     )
     try:
-        response = client.complete(request)
+        exchange = client.complete(request)
     except Exception as exc:
         where = f"question {question.question_id} ({exchange_key})"
         if isinstance(exc, OSError):
@@ -161,7 +143,7 @@ def _fetch(
             raise OSError(f"{where}: {exc}") from exc
         exc.args = (f"{where}: {exc}",)
         raise
-    return Exchange(request, response), classify_response(response.text, policy)
+    return exchange, classify_response(exchange.text, policy)
 
 
 def send_ahead(
@@ -241,8 +223,8 @@ def run_strategy(
             exchanges=tuple(exchanges),
             final=final,
             rounds_used=rounds_used,
-            prompt_tokens_total=sum(e.response.prompt_tokens for e in exchanges),
-            completion_tokens_total=sum(e.response.completion_tokens for e in exchanges),
+            prompt_tokens_total=sum(e.prompt_tokens for e in exchanges),
+            completion_tokens_total=sum(e.completion_tokens for e in exchanges),
             **outcome,
         )
 

@@ -89,7 +89,6 @@ def test_concatenation_with_rule_backend():
     assert trace.final == Answer.of("Paris")
     assert trace.strategy is Strategy.CONCAT
     assert len(trace.exchanges) == 1
-    assert trace.exchanges[0].kind == "concat"
     assert trace.exchanges[0].exchange_key == "concat"
     assert trace.rounds_used == 1
     assert not trace.finalized_by_vote
@@ -136,8 +135,8 @@ def test_pruning_and_summary_extract_final_answer_line():
     assert pruning.final == Answer.of("x")
     assert summary.final == Answer.of("y")
     assert len(pruning.exchanges) == len(summary.exchanges) == 1
-    assert pruning.exchanges[0].kind == "pruning"
-    assert summary.exchanges[0].kind == "summary"
+    assert pruning.exchanges[0].exchange_key == "pruning"
+    assert summary.exchanges[0].exchange_key == "summary"
 
 
 def test_pruning_unknown_response():
@@ -181,7 +180,7 @@ def test_pf_concat_filters_unknown_passages_from_distill():
     assert trace.rounds_used == 2
     assert len(trace.exchanges) == 3 + 1
     distill = trace.exchanges[-1]
-    assert distill.kind == "distill"
+    assert distill.exchange_key == "distill"
     task = extract_task(distill.request.prompt_text)
     assert task.passages == tuple(f"{p.title}. {p.text}" for p in PASSAGES[1:])
     assert task.candidates == ("a", "b")
@@ -245,10 +244,8 @@ def test_trace_token_totals_match_exchanges_and_backend():
     client = RuleClient([QUESTION])
     reached = spy_backend(client)
     trace = run_strategy(Strategy.POST_FUSION, PASSAGES, QUESTION, client)
-    assert trace.prompt_tokens_total == sum(e.response.prompt_tokens for e in trace.exchanges)
-    assert trace.completion_tokens_total == sum(
-        e.response.completion_tokens for e in trace.exchanges
-    )
+    assert trace.prompt_tokens_total == sum(e.prompt_tokens for e in trace.exchanges)
+    assert trace.completion_tokens_total == sum(e.completion_tokens for e in trace.exchanges)
     # every exchange reached the backend; the rule backend reports no counts
     assert [e.request for e in trace.exchanges] == reached
     assert trace.prompt_tokens_total == sum(count_tokens(r.prompt_text) for r in reached)
@@ -337,7 +334,7 @@ def test_a_memo_hit_reuses_the_exchange_and_its_classification(
         assert len({id(e) for e in exchanges}) == len(memo) < len(exchanges)
         # one classification per distinct request, and hits return its answer
         assert len(classified) == len(memo)
-        assert all(answer == classify_response(e.response.text) for e, answer in memo.values())
+        assert all(answer == classify_response(e.text) for e, answer in memo.values())
 
 
 def test_a_shared_memo_renders_each_distinct_request_once(
